@@ -55,7 +55,6 @@ from .graphs import (
     complete_bipartite,
     cycle,
     empty_graph,
-    enumerate_independent_sets,
     independent_set_masks,
     induced_subgraph,
     is_triangle_free,

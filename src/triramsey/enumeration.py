@@ -7,14 +7,23 @@ member (which preserves triangle-freeness by construction), keeps a child
 only when no forbidden set passes through the new vertex, and deduplicates
 by canonical key.  Members are stored canonically labeled and sorted by key,
 so levels are byte-stable regardless of worker count or merge order.
+
+The forbidden-set test runs once per parent over all its independent sets
+at once: a table of the parent's k-sparse (j-1)-sets, each with its members
+whose internal degree is already k, decides every attachment set through a
+numpy broadcast.  Masks cover the parent's vertices only (< 2**MAX_N), so
+int64 arithmetic never overflows.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
-from . import _kernels
+import numpy as np
+
 from .canon import CanonKey, canonical_graph
 from .defect import (
     has_k_dense_set,
@@ -23,7 +32,19 @@ from .defect import (
     has_k_sparse_set_containing,
 )
 from .errors import ConstructionError
-from .graphs import Graph, VertexSet, add_vertex, is_triangle_free, single_vertex
+from .graphs import (
+    Graph,
+    VertexSet,
+    add_vertex,
+    complement,
+    independent_set_masks,
+    is_triangle_free,
+    single_vertex,
+)
+
+#: Upper bound on the elements of one (attachment sets x patterns) broadcast
+#: in the forbidden-set filter; the pattern axis is chunked to respect it.
+_BROADCAST_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -125,10 +146,66 @@ def initial_level(spec: ProblemSpec) -> LevelSet:
     return LevelSet(1, ((key, canon),))
 
 
+@lru_cache(maxsize=64)
+def _subset_masks(n: int, size: int) -> np.ndarray:
+    """Every ``size``-subset of range(n) as an int64 mask (read-only, shared)."""
+    masks = np.array([sum(1 << u for u in c) for c in combinations(range(n), size)],
+                     dtype=np.int64)
+    masks.flags.writeable = False
+    return masks
+
+
+def _sparse_patterns(rows: tuple[int, ...], k: int, size: int):
+    """(T, A_T) arrays over the k-sparse ``size``-sets T of the graph ``rows``.
+
+    A_T holds the members of T whose degree inside T is already k.
+    """
+    subs = _subset_masks(len(rows), size)
+    keep = np.ones(len(subs), dtype=bool)
+    saturated = np.zeros(len(subs), dtype=np.int64)
+    for u, row in enumerate(rows):
+        member = (subs & (1 << u)) != 0
+        deg = np.bitwise_count(subs & row)
+        keep &= ~member | (deg <= k)
+        saturated[member & (deg == k)] |= 1 << u
+    return subs[keep], saturated[keep]
+
+
+def _rejected(attach: np.ndarray, patterns, k: int) -> np.ndarray:
+    """True where the new vertex, attached to ``attach``, completes a pattern.
+
+    Attaching to s turns T into the k-sparse set {v} + T exactly when s
+    misses A_T (no member of T goes past degree k) and |s & T| <= k (the
+    new vertex itself stays within degree k).
+    """
+    subsets, saturated = patterns
+    dead = np.zeros(len(attach), dtype=bool)
+    if not len(attach):
+        return dead
+    col = attach[:, None]
+    step = max(1, _BROADCAST_ELEMENTS // len(attach))
+    for lo in range(0, len(subsets), step):
+        hit = ((col & saturated[lo:lo + step]) == 0) & (
+            np.bitwise_count(col & subsets[lo:lo + step]) <= k)
+        dead |= hit.any(axis=1)
+    return dead
+
+
 def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
-    """Independent sets of g whose extension survives the forbidden-set checks."""
-    return _kernels.surviving_sets(g.adj, g.order, spec.k, spec.j, spec.i,
-                                   spec.i is not None)
+    """Independent sets of g whose extension survives the forbidden-set checks.
+
+    Ascending mask order.  A set s survives when attaching a new vertex to it
+    creates no k-sparse j-set through that vertex and (in R mode) no k-dense
+    i-set through it: a k-sparse j-set through the new vertex is the vertex
+    plus a k-sparse (j-1)-set of g, and the dense side is the same test in
+    the complement, where the new vertex sees every parent vertex outside s.
+    """
+    sets = np.array(independent_set_masks(g), dtype=np.int64)
+    sets = sets[~_rejected(sets, _sparse_patterns(g.adj, spec.k, spec.j - 1), spec.k)]
+    if spec.i is not None:
+        dense = _sparse_patterns(complement(g).adj, spec.k, spec.i - 1)
+        sets = sets[~_rejected(g.full_mask() ^ sets, dense, spec.k)]
+    return sets.tolist()
 
 
 def extend_graph(g: Graph, spec: ProblemSpec) -> list[Graph]:
@@ -144,7 +221,7 @@ def reject_extension_slow(g: Graph, spec: ProblemSpec, s: VertexSet) -> bool:
     """Reference check for one extension, via the public search API only.
 
     True when the child formed by attaching a new vertex to ``s`` contains
-    a forbidden set through that vertex.  Tests use this to pin the kernel.
+    a forbidden set through that vertex.  Tests use this to pin the filter.
     """
     child = add_vertex(g, s)
     v = g.order
@@ -161,7 +238,7 @@ def _extend_entries(args):
     adj, order, k, j, i = args
     out = []
     parent = Graph(order, adj)
-    for s in _kernels.surviving_sets(adj, order, k, j, i, i is not None):
+    for s in surviving_extension_sets(parent, ProblemSpec(k=k, j=j, i=i)):
         key, canon = canonical_graph(add_vertex(parent, s))
         out.append((key, canon.adj))
     return out

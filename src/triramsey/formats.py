@@ -113,7 +113,11 @@ def write_level(level: LevelSet, spec: ProblemSpec, destination) -> None:
     lines.append(f"digest sha256 {_body_digest(body)}")
     path = Path(destination)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(tmp, "w", encoding="ascii") as out:
+        out.write("\n".join(lines) + "\n")
+        # On disk before the rename, so a crash never leaves an empty checkpoint.
+        out.flush()
+        os.fsync(out.fileno())
     os.replace(tmp, path)
 
 
@@ -154,6 +158,8 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     footer = lines[footer_index]
     if not footer.startswith("digest sha256 "):
         raise IntegrityError("level file: malformed digest footer")
+    if len(lines) > footer_index + 1:
+        raise IntegrityError(f"level file line {footer_index + 2}: data after digest footer")
     expected = footer[len("digest sha256 "):]
     actual = _body_digest(body)
     if actual != expected:
@@ -167,6 +173,9 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
             raise IntegrityError(f"member of order {g.order} in a level of order {order}")
         members.append(canonical_graph(g))
     members.sort(key=lambda pair: pair[0])
+    for (key, _), (next_key, _) in zip(members, members[1:]):
+        if key == next_key:
+            raise IntegrityError("level file repeats an isomorphism class")
     return LevelSet(order, tuple(members)), spec
 
 

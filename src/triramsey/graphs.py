@@ -140,32 +140,11 @@ def is_triangle_free(g: Graph) -> bool:
     return True
 
 
-def enumerate_independent_sets(g: Graph) -> Iterator[VertexSet]:
-    """Yield every independent set of ``g`` (including the empty set).
-
-    Each set appears exactly once, in ascending bitmask order.
-    """
-
-    def rec(allowed: int) -> Iterator[int]:
-        if not allowed:
-            yield 0
-            return
-        top = allowed.bit_length() - 1
-        rest = allowed & ~(1 << top)
-        yield from rec(rest)
-        bit = 1 << top
-        for s in rec(rest & ~g.adj[top]):
-            yield s | bit
-
-    return rec(g.full_mask())
-
-
 def independent_set_masks(g: Graph) -> list[VertexSet]:
-    """All independent sets as a list, ascending bitmask order.
+    """All independent sets (including the empty set), ascending bitmask order.
 
     Iterative doubling over the vertices: after vertex v is processed the
-    list holds every independent subset of {0..v}.  Same output as
-    :func:`enumerate_independent_sets`, materialized.
+    list holds every independent subset of {0..v}.
     """
     sets = [0]
     for v, row in enumerate(g.adj):

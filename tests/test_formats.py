@@ -148,6 +148,33 @@ def test_wrong_order_member_detected(tmp_path):
         read_level(target)
 
 
+def test_repeated_member_detected(tmp_path):
+    # a consistent file (count and digest recomputed) that lists one class twice
+    from triramsey.formats import _body_digest
+
+    spec = ProblemSpec(k=1, j=4)
+    level = level_at(spec, 6)
+    body = [graph6_encode(g) for g in level.graphs()]
+    body.insert(1, body[0])
+    lines = ["tfree-level 1", "k 1", "i -", "j 4", "order 6", f"count {len(body)}", "begin"]
+    lines += body
+    lines.append(f"digest sha256 {_body_digest(body)}")
+    target = tmp_path / "level.lvl"
+    target.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IntegrityError, match="repeats"):
+        read_level(target)
+
+
+def test_data_after_footer_detected(tmp_path):
+    spec = ProblemSpec(k=1, j=3)
+    target = tmp_path / "level.lvl"
+    write_level(level_at(spec, 4), spec, target)
+    with target.open("a") as out:
+        out.write(graph6_encode(cycle(4)) + "\n")
+    with pytest.raises(IntegrityError, match="after digest"):
+        read_level(target)
+
+
 def test_render_report_shape():
     from triramsey import RunLimits, compute_number
 
