@@ -4,7 +4,9 @@ Key layout: byte 0 holds the order n, then ceil(n(n-1)/2 / 8) bytes hold the
 row-major upper-triangular adjacency bits of the canonically relabeled graph,
 most significant bit first, zero padded.  Two graphs get equal keys exactly
 when they are isomorphic, and keys compare as plain byte strings, which gives
-the total order used for deduplication and stable file output.
+the total order used for deduplication and stable file output.  The key is
+the whole class: ``decode_key`` rebuilds the canonically labeled
+representative from it, so no relabeled graph is ever carried beside a key.
 
 The labeling is found by equitable partition refinement plus backtracking
 individualization.  Vertices with identical neighborhoods (false twins) are
@@ -20,7 +22,7 @@ wins.
 from __future__ import annotations
 
 from .errors import DecodeError
-from .graphs import MAX_N, Graph, permute
+from .graphs import MAX_N, Graph
 
 #: Total-order canonical encoding of a graph; byte-compare gives the order.
 CanonKey = bytes
@@ -87,11 +89,9 @@ def _encode(n: int, rows: tuple[int, ...], order: list[int]) -> bytes:
     return bytes([n]) + bits.to_bytes((nbits + 7) // 8, "big")
 
 
-def canonical_labeling(g: Graph) -> list[int]:
-    """Vertex order (position -> original vertex) realizing the canonical key."""
+def canonical_form(g: Graph) -> CanonKey:
+    """Relabeling-invariant key; equal keys <=> isomorphic graphs."""
     n = g.order
-    if n <= 1:
-        return list(range(n))
     classes = _twin_classes(g)
     reps = [cell[0] for cell in classes]
     qadj = []
@@ -107,10 +107,9 @@ def canonical_labeling(g: Graph) -> list[int]:
 
     rows = g.adj
     best_key: bytes | None = None
-    best_order: list[int] = []
 
     def search(part: list[list[int]]) -> None:
-        nonlocal best_key, best_order
+        nonlocal best_key
         target = -1
         for ci, cell in enumerate(part):
             if len(cell) > 1:
@@ -121,7 +120,6 @@ def canonical_labeling(g: Graph) -> list[int]:
             key = _encode(n, rows, order)
             if best_key is None or key < best_key:
                 best_key = key
-                best_order = order
             return
         cell = part[target]
         for x in cell:
@@ -130,22 +128,13 @@ def canonical_labeling(g: Graph) -> list[int]:
             search(_refine(qadj, trial))
 
     search(_refine(qadj, partition))
-    return best_order
-
-
-def canonical_form(g: Graph) -> CanonKey:
-    """Relabeling-invariant key; equal keys <=> isomorphic graphs."""
-    order = canonical_labeling(g)
-    return _encode(g.order, g.adj, order)
+    return best_key
 
 
 def canonical_graph(g: Graph) -> tuple[CanonKey, Graph]:
-    """The canonical key together with the canonically relabeled graph."""
-    order = canonical_labeling(g)
-    inverse = [0] * g.order
-    for position, v in enumerate(order):
-        inverse[v] = position
-    return _encode(g.order, g.adj, order), permute(g, inverse)
+    """The canonical key together with the graph it encodes."""
+    key = canonical_form(g)
+    return key, decode_key(key)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -163,7 +152,11 @@ def decode_key(key: CanonKey) -> Graph:
     expected = 1 + (nbits + 7) // 8
     if len(key) != expected:
         raise DecodeError(f"key of length {len(key)}, expected {expected}", offset=len(key))
-    bits = int.from_bytes(key[1:], "big") >> (-nbits % 8)
+    bits = int.from_bytes(key[1:], "big")
+    pad = -nbits % 8
+    if bits & ((1 << pad) - 1):
+        raise DecodeError("nonzero trailing padding bits", offset=len(key) - 1)
+    bits >>= pad
     rows = [0] * n
     position = nbits - 1
     for a in range(n):

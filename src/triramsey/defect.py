@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError
-from .graphs import Graph, VertexSet, is_triangle_free, set_members
+from .graphs import Graph, VertexSet, complement, is_triangle_free, set_members
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,6 @@ def _smallest_sparse_set(adj: tuple[int, ...], n: int, k: int, size: int,
     return _extend_smallest(adj, k, required, cand, size - have)
 
 
-def _complement_rows(g: Graph) -> tuple[int, ...]:
-    full = g.full_mask()
-    return tuple(full & ~row & ~(1 << u) for u, row in enumerate(g.adj))
-
-
 def has_k_sparse_set(g: Graph, k: int, j: int) -> SparseWitness | None:
     """Search the whole graph for a k-sparse set of exactly size j."""
     if j == 0:
@@ -162,7 +157,7 @@ def has_k_dense_set(g: Graph, k: int, i: int) -> DenseWitness | None:
     """Search the whole graph for a k-dense set of exactly size i."""
     if i == 0:
         return DenseWitness(0, k)
-    mask = _smallest_sparse_set(_complement_rows(g), g.order, k, i)
+    mask = _smallest_sparse_set(complement(g).adj, g.order, k, i)
     return None if mask is None else DenseWitness(mask, k)
 
 
@@ -178,7 +173,7 @@ def has_k_dense_set_containing(g: Graph, v: int, k: int, i: int) -> DenseWitness
     """Like :func:`has_k_dense_set` but only over sets containing v."""
     if v < 0 or v >= g.order:
         raise ConstructionError(f"vertex {v} outside the graph")
-    mask = _smallest_sparse_set(_complement_rows(g), g.order, k, i, required=1 << v)
+    mask = _smallest_sparse_set(complement(g).adj, g.order, k, i, required=1 << v)
     return None if mask is None else DenseWitness(mask, k)
 
 

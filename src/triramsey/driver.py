@@ -106,21 +106,28 @@ def compute_number(spec: ProblemSpec, limits: RunLimits | None = None) -> RunRep
     return _iterate(spec, limits, initial_level(spec), resumed_from=None)
 
 
-def checkpoint_resume(spec: ProblemSpec, checkpoint: str | Path,
-                      limits: RunLimits | None = None) -> RunReport:
-    """Continue a run from a persisted level, after re-validating it fully.
-
-    Every member is re-checked with the unrestricted membership test; a
-    corrupted frontier would silently invalidate the final number otherwise.
-    """
-    limits = limits or RunLimits()
-    path = Path(checkpoint)
+def _read_verified(path: Path, spec: ProblemSpec) -> LevelSet:
+    """Read a level file written for ``spec`` and re-check every member."""
     level, file_spec = read_level(path)
     check_spec_match(file_spec, spec, path)
     for index, (_, g) in enumerate(level.members):
         if not verify_membership(g, spec):
             raise IntegrityError(f"{path}: member {index} fails membership for "
                                  f"k={spec.k} i={spec.i} j={spec.j}")
+    return level
+
+
+def checkpoint_resume(spec: ProblemSpec, checkpoint: str | Path,
+                      limits: RunLimits | None = None) -> RunReport:
+    """Continue a run from a persisted level, after re-validating it fully.
+
+    Every member is re-checked with the unrestricted membership test, and so
+    is every member of the sibling file an empty level reports as extremal;
+    a corrupted file would silently invalidate the result otherwise.
+    """
+    limits = limits or RunLimits()
+    path = Path(checkpoint)
+    level = _read_verified(path, spec)
 
     if len(level) == 0:
         # The number is already decided; extremal graphs live in the
@@ -129,8 +136,7 @@ def checkpoint_resume(spec: ProblemSpec, checkpoint: str | Path,
         times = {level.order: 0.0}
         sibling = path.with_name(level_filename(level.order - 1))
         if level.order > 1 and sibling.exists():
-            prior, prior_spec = read_level(sibling)
-            check_spec_match(prior_spec, spec, sibling)
+            prior = _read_verified(sibling, spec)
             if len(prior) > 0 and prior.order == level.order - 1:
                 counts[prior.order] = len(prior)
                 return RunReport(spec, COMPLETED, level.order, tuple(prior.graphs()),

@@ -6,7 +6,8 @@ the next order attaches a new vertex to every independent set of every
 member (which preserves triangle-freeness by construction), keeps a child
 only when no forbidden set passes through the new vertex, and deduplicates
 by canonical key.  Members are stored canonically labeled and sorted by key,
-so levels are byte-stable regardless of worker count or merge order.
+so levels are byte-stable regardless of worker count or merge order: a
+child travels as its key alone, and each class is decoded once from it.
 
 The forbidden-set test runs once per parent over all its independent sets
 at once: a table of the parent's k-sparse (j-1)-sets, each with its members
@@ -24,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .canon import CanonKey, canonical_graph
+from .canon import CanonKey, canonical_form, canonical_graph, decode_key
 from .defect import (
     has_k_dense_set,
     has_k_dense_set_containing,
@@ -37,8 +38,8 @@ from .graphs import (
     VertexSet,
     add_vertex,
     complement,
+    find_triangle,
     independent_set_masks,
-    is_triangle_free,
     single_vertex,
 )
 
@@ -103,30 +104,14 @@ def verify_membership(g: Graph, spec: ProblemSpec) -> bool:
     Used to validate external inputs and resumed checkpoints; the search
     itself only ever tests sets through the newly added vertex.
     """
-    if not is_triangle_free(g):
-        return False
-    if has_k_sparse_set(g, spec.k, spec.j) is not None:
-        return False
-    if spec.i is not None and has_k_dense_set(g, spec.k, spec.i) is not None:
-        return False
-    return True
+    return find_forbidden_set(g, spec) is None
 
 
 def find_forbidden_set(g: Graph, spec: ProblemSpec):
     """Why g fails membership: ("triangle"|"sparse"|"dense", mask), or None."""
-    adj = g.adj
-    for u in range(g.order):
-        row = adj[u]
-        rest = row >> (u + 1)
-        base = u + 1
-        while rest:
-            low = rest & -rest
-            w = base + low.bit_length() - 1
-            common = row & adj[w]
-            if common:
-                x = (common & -common).bit_length() - 1
-                return "triangle", (1 << u) | (1 << w) | (1 << x)
-            rest ^= low
+    triangle = find_triangle(g)
+    if triangle is not None:
+        return "triangle", triangle
     witness = has_k_sparse_set(g, spec.k, spec.j)
     if witness is not None:
         return "sparse", witness.set
@@ -142,8 +127,7 @@ def initial_level(spec: ProblemSpec) -> LevelSet:
     g = single_vertex()
     if not verify_membership(g, spec):
         return LevelSet(1, ())
-    key, canon = canonical_graph(g)
-    return LevelSet(1, ((key, canon),))
+    return LevelSet(1, (canonical_graph(g),))
 
 
 @lru_cache(maxsize=64)
@@ -233,15 +217,12 @@ def reject_extension_slow(g: Graph, spec: ProblemSpec, s: VertexSet) -> bool:
     return False
 
 
-def _extend_entries(args):
-    """Worker task: canonical (key, adjacency) pairs for all surviving children."""
+def _extend_entries(args) -> list[CanonKey]:
+    """Worker task: the canonical keys of all surviving children."""
     adj, order, k, j, i = args
-    out = []
     parent = Graph(order, adj)
-    for s in surviving_extension_sets(parent, ProblemSpec(k=k, j=j, i=i)):
-        key, canon = canonical_graph(add_vertex(parent, s))
-        out.append((key, canon.adj))
-    return out
+    return [canonical_form(add_vertex(parent, s))
+            for s in surviving_extension_sets(parent, ProblemSpec(k=k, j=j, i=i))]
 
 
 def level_at(spec: ProblemSpec, order: int, *, workers: int = 1,
@@ -259,17 +240,16 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, workers: int = 1,
                max_cardinality: int | None = None) -> LevelSet:
     """Extend every member by one vertex and deduplicate the next level.
 
-    Output is identical for any ``workers`` value: children are keyed by
-    canonical form, all writers of a key carry the same canonically labeled
-    graph, and members are sorted by key at the end.
+    Output is identical for any ``workers`` value: workers return only the
+    canonical keys of the children, the merge is a set of keys, and each
+    class is decoded once from its key, in key order, at the end.
     """
     next_order = level.order + 1
     tasks = [(g.adj, g.order, spec.k, spec.j, spec.i) for _, g in level.members]
-    merged: dict[CanonKey, tuple[int, ...]] = {}
+    merged: set[CanonKey] = set()
 
-    def absorb(entries) -> None:
-        for key, adj in entries:
-            merged.setdefault(key, adj)
+    def absorb(keys: list[CanonKey]) -> None:
+        merged.update(keys)
         if max_cardinality is not None and len(merged) > max_cardinality:
             raise LevelCardinalityExceeded(next_order, max_cardinality)
 
@@ -278,10 +258,9 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, workers: int = 1,
             absorb(_extend_entries(task))
     else:
         with multiprocessing.Pool(processes=workers) as pool:
-            for entries in pool.imap_unordered(_extend_entries, tasks,
-                                               chunksize=max(1, len(tasks) // (workers * 8))):
-                absorb(entries)
+            for keys in pool.imap_unordered(_extend_entries, tasks,
+                                            chunksize=max(1, len(tasks) // (workers * 8))):
+                absorb(keys)
 
-    members = tuple((key, Graph(next_order, adj))
-                    for key, adj in sorted(merged.items()))
+    members = tuple((key, decode_key(key)) for key in sorted(merged))
     return LevelSet(next_order, members)

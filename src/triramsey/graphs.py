@@ -123,8 +123,8 @@ def single_vertex() -> Graph:
     return Graph(1, (0,))
 
 
-def is_triangle_free(g: Graph) -> bool:
-    """True iff no three vertices are mutually adjacent."""
+def find_triangle(g: Graph) -> VertexSet | None:
+    """The first triangle u < w with lowest common neighbor x, as a mask, or None."""
     adj = g.adj
     for u in range(g.order):
         row = adj[u]
@@ -134,10 +134,17 @@ def is_triangle_free(g: Graph) -> bool:
         while rest:
             low = rest & -rest
             w = base + low.bit_length() - 1
-            if row & adj[w]:
-                return False
+            common = row & adj[w]
+            if common:
+                x = (common & -common).bit_length() - 1
+                return (1 << u) | (1 << w) | (1 << x)
             rest ^= low
-    return True
+    return None
+
+
+def is_triangle_free(g: Graph) -> bool:
+    """True iff no three vertices are mutually adjacent."""
+    return find_triangle(g) is None
 
 
 def independent_set_masks(g: Graph) -> list[VertexSet]:

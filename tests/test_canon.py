@@ -6,6 +6,8 @@ import random
 import pytest
 
 from triramsey import (
+    MAX_N,
+    DecodeError,
     Graph,
     are_isomorphic,
     build_graph,
@@ -129,3 +131,14 @@ def test_key_total_order_is_bytewise():
     keys = sorted(canonical_form(g) for g in all_labeled_graphs(3))
     assert keys == sorted(keys)
     assert len(set(keys)) == 4
+
+
+def test_decode_key_rejects_malformed_keys():
+    # Order 3 has 3 adjacency bits, so the low 5 bits of the byte are padding.
+    assert decode_key(bytes([3, 0x20])) == build_graph(3, [(1, 2)])
+    with pytest.raises(DecodeError, match="padding"):
+        decode_key(bytes([3, 0x21]))
+    with pytest.raises(DecodeError, match="exceeds"):
+        decode_key(bytes([MAX_N + 1]) + bytes((MAX_N + 1) * MAX_N // 16))
+    with pytest.raises(DecodeError, match="length"):
+        decode_key(bytes([4, 0, 0]))  # order 4 needs one byte for its 6 bits

@@ -92,6 +92,15 @@ def test_resume_from_empty_level_with_sibling(tmp_path):
     assert report.value == 7 and report.extremal_count == 2
 
 
+def test_resume_from_empty_level_verifies_sibling(tmp_path):
+    spec = ProblemSpec(k=1, j=4)
+    triangle = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    write_level(LevelSet(6, (canonical_graph(triangle),)), spec, tmp_path / level_filename(6))
+    write_level(LevelSet(7, ()), spec, tmp_path / level_filename(7))
+    with pytest.raises(IntegrityError, match=r"level-06\.lvl: member 0"):
+        checkpoint_resume(spec, tmp_path / level_filename(7))
+
+
 def test_resume_from_empty_level_without_sibling(tmp_path):
     spec = ProblemSpec(k=1, j=4)
     write_level(LevelSet(7, ()), spec, tmp_path / level_filename(7))

@@ -10,6 +10,7 @@ from triramsey import (
     ProblemSpec,
     are_isomorphic,
     cycle,
+    decode_key,
     extend_graph,
     find_forbidden_set,
     initial_level,
@@ -118,6 +119,7 @@ def test_worker_counts_agree():
     serial = level_at(spec, 8, workers=1)
     two = level_at(spec, 8, workers=2)
     assert serial == two
+    assert all(g == decode_key(key) for level in (serial, two) for key, g in level.members)
 
 
 def test_monotone_termination():
