@@ -2,18 +2,20 @@
 
 A level holds, per isomorphism class, one triangle-free graph of a fixed
 order with no k-sparse j-set and (in R mode) no k-dense i-set.  The step to
-the next order attaches a new vertex to every independent set of every
-member (which preserves triangle-freeness by construction), keeps a child
-only when no forbidden set passes through the new vertex, and deduplicates
-by canonical key.  Members are stored canonically labeled and sorted by key,
-so levels are byte-stable regardless of worker count or merge order: a
-child travels as its key alone, and each class is decoded once from it.
+the next order attaches a new vertex to one independent set per
+automorphism orbit of every member (which preserves triangle-freeness by
+construction, and loses no class: sets in one orbit give isomorphic
+children), keeps a child only when no forbidden set passes through the new
+vertex, and deduplicates by canonical key.  Members are stored canonically
+labeled and sorted by key, so levels are byte-stable regardless of worker
+count or merge order: a child travels as its key alone, and each class is
+decoded once from it.
 
-The forbidden-set test runs once per parent over all its independent sets
-at once: a table of the parent's k-sparse (j-1)-sets, each with its members
-whose internal degree is already k, decides every attachment set through a
-numpy broadcast.  Masks cover the parent's vertices only (< 2**MAX_N), so
-int64 arithmetic never overflows.
+The forbidden-set test runs once per parent over all its orbit
+representatives at once: a table of the parent's k-sparse (j-1)-sets, each
+with its members whose internal degree is already k, decides every
+attachment set through a numpy broadcast.  Masks cover the parent's
+vertices only (< 2**MAX_N), so int64 arithmetic never overflows.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .canon import CanonKey, canonical_form, canonical_graph, decode_key
+from .canon import (
+    CanonKey,
+    canonical_form,
+    canonical_graph,
+    decode_key,
+    orbit_representatives,
+)
 from .defect import (
     has_k_dense_set,
     has_k_dense_set_containing,
@@ -176,15 +184,18 @@ def _rejected(attach: np.ndarray, patterns, k: int) -> np.ndarray:
 
 
 def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
-    """Independent sets of g whose extension survives the forbidden-set checks.
+    """One independent set of g per Aut(g)-orbit whose extension survives.
 
-    Ascending mask order.  A set s survives when attaching a new vertex to it
+    Each is the lowest mask of its orbit, in ascending order.  Sets in one
+    orbit give isomorphic children (an automorphism of g fixing the new
+    vertex maps one onto the other), so only orbit representatives go
+    through the filter.  A set s survives when attaching a new vertex to it
     creates no k-sparse j-set through that vertex and (in R mode) no k-dense
     i-set through it: a k-sparse j-set through the new vertex is the vertex
     plus a k-sparse (j-1)-set of g, and the dense side is the same test in
     the complement, where the new vertex sees every parent vertex outside s.
     """
-    sets = np.array(independent_set_masks(g), dtype=np.int64)
+    sets = np.array(orbit_representatives(g, independent_set_masks(g)), dtype=np.int64)
     sets = sets[~_rejected(sets, _sparse_patterns(g.adj, spec.k, spec.j - 1), spec.k)]
     if spec.i is not None:
         dense = _sparse_patterns(complement(g).adj, spec.k, spec.i - 1)
@@ -193,10 +204,11 @@ def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
 
 
 def extend_graph(g: Graph, spec: ProblemSpec) -> list[Graph]:
-    """All surviving one-vertex extensions of g, in attachment-set order.
+    """One surviving one-vertex extension of g per orbit of attachment sets.
 
-    Isomorphic children produced by different attachment sets are not
-    deduplicated here; that happens during the level merge.
+    In ascending order of the attachment sets returned by
+    ``surviving_extension_sets``.  Children from different orbits may still
+    be isomorphic; the level merge deduplicates those by key.
     """
     return [add_vertex(g, s) for s in surviving_extension_sets(g, spec)]
 
@@ -227,7 +239,9 @@ def _extend_entries(args) -> list[CanonKey]:
 
 def level_at(spec: ProblemSpec, order: int, *, workers: int = 1,
              max_cardinality: int | None = None) -> LevelSet:
-    """The level of the given order, grown from K1 (empty once the search dies)."""
+    """The level of the given order >= 1, grown from K1 (empty once the search dies)."""
+    if order < 1:
+        raise ConstructionError(f"level order {order} < 1")
     level = initial_level(spec)
     while level.order < order and len(level) > 0:
         level = level_step(level, spec, workers=workers, max_cardinality=max_cardinality)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from triramsey import (
     DecodeError,
     Graph,
     are_isomorphic,
+    blow_up,
     build_graph,
     canonical_form,
     canonical_graph,
@@ -18,9 +20,10 @@ from triramsey import (
     decode_key,
     path,
     permute,
+    set_members,
     validate_graph,
 )
-from triramsey.canon import _encode
+from triramsey.canon import _automorphisms, _encode, _twin_classes, orbit_representatives
 from triramsey.oracle import brute_isomorphic, count_graph_classes
 
 from .conftest import petersen, random_graph, random_permutation
@@ -103,8 +106,6 @@ def test_twin_heavy_graphs_are_cheap_and_correct():
         g = complete_bipartite(p, l)
         key = canonical_form(g)
         assert canonical_form(permute(g, random_permutation(rng, g.order))) == key
-    from triramsey import blow_up
-
     doubled = blow_up(cycle(5), 2)
     assert canonical_form(permute(doubled, random_permutation(rng, 10))) == canonical_form(doubled)
 
@@ -142,3 +143,37 @@ def test_decode_key_rejects_malformed_keys():
         decode_key(bytes([MAX_N + 1]) + bytes((MAX_N + 1) * MAX_N // 16))
     with pytest.raises(DecodeError, match="length"):
         decode_key(bytes([4, 0, 0]))  # order 4 needs one byte for its 6 bits
+
+
+@pytest.mark.parametrize("name", ["C5", "K33", "C5x2", "petersen", "figure_9", "figure_12a"])
+def test_automorphisms_and_set_orbits_match_networkx(name, request):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    g = {"C5": lambda: cycle(5), "K33": lambda: complete_bipartite(3, 3),
+         "C5x2": lambda: blow_up(cycle(5), 2), "petersen": petersen,
+         "figure_9": lambda: request.getfixturevalue("figure_9"),
+         "figure_12a": lambda: request.getfixturevalue("figure_12a")}[name]()
+    maps = _automorphisms(g, _twin_classes(g))
+    for image in maps:
+        assert permute(g, image) == g
+    assert len({tuple(image) for image in maps} - {tuple(range(g.order))}) == len(maps)
+
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.order))
+    reference.add_edges_from(g.edges())
+    automorphisms = [[m[u] for u in range(g.order)]
+                     for m in GraphMatcher(reference, reference).isomorphisms_iter()]
+    twin_symmetries = 1
+    for cell in _twin_classes(g):
+        twin_symmetries *= math.factorial(len(cell))
+    assert (len(maps) + 1) * twin_symmetries == len(automorphisms)
+
+    # The first (lowest) set of every orbit of vertex sets, by brute force.
+    seen: set[int] = set()
+    expected = []
+    for s in range(1 << g.order):
+        if s not in seen:
+            expected.append(s)
+            seen.update(sum(1 << p[u] for u in set_members(s)) for p in automorphisms)
+    assert orbit_representatives(g, list(range(1 << g.order))) == expected

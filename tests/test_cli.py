@@ -118,6 +118,13 @@ def test_oracle_verify(capsys):
     assert "match" in out
 
 
+def test_oracle_verify_order_zero_is_usage_error(capsys):
+    code, out, err = run(capsys, "oracle-verify", "--n", "0", "--k", "1", "--j", "3")
+    assert code == 2
+    assert "MISMATCH" not in out
+    assert "order 0" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["compute", "--k", "1"])  # missing --j

@@ -8,11 +8,14 @@ from triramsey import (
     ConstructionError,
     LevelCardinalityExceeded,
     ProblemSpec,
+    add_vertex,
     are_isomorphic,
+    canonical_form,
     cycle,
     decode_key,
     extend_graph,
     find_forbidden_set,
+    independent_set_masks,
     initial_level,
     level_at,
     level_step,
@@ -20,6 +23,7 @@ from triramsey import (
     validate_graph,
     verify_membership,
 )
+from triramsey.enumeration import reject_extension_slow
 from triramsey.oracle import brute_membership
 
 from .conftest import random_triangle_free
@@ -77,6 +81,30 @@ def test_level_step_examples():
     level4 = level_at(spec, 4)
     assert len(level4) == 1
     assert are_isomorphic(level4.graphs()[0], cycle(4))
+
+
+def test_level_at_rejects_orders_below_one():
+    spec = ProblemSpec(k=1, j=3)
+    for order in (0, -1):
+        with pytest.raises(ConstructionError):
+            level_at(spec, order)
+    assert level_at(spec, 1) == initial_level(spec)
+
+
+@pytest.mark.parametrize("spec", [ProblemSpec(k=1, j=5), ProblemSpec(k=2, j=6),
+                                  ProblemSpec(k=1, j=6, i=4)])
+def test_orbit_pruning_is_lossless(spec):
+    """Level keys equal an unpruned step: every independent set, filtered by
+    ``reject_extension_slow``, every child labeled."""
+    level = initial_level(spec)
+    keys = [key for key, _ in level.members]
+    while level.order < 8:
+        parents = [decode_key(key) for key in keys]
+        keys = sorted({canonical_form(add_vertex(g, s)) for g in parents
+                       for s in independent_set_masks(g)
+                       if not reject_extension_slow(g, spec, s)})
+        level = level_step(level, spec)
+        assert [key for key, _ in level.members] == keys, level.order
 
 
 def test_level_step_r_mode_order_9(figure_9):
