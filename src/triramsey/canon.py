@@ -16,20 +16,19 @@ complete-bipartite graphs that dominate this workload from exploding the
 search tree.  Every branching choice depends only on isomorphism-invariant
 data (class sizes, neighbor counts per cell), so isomorphic graphs explore
 corresponding trees; the candidate labeling with the smallest encoded key
-wins.  The leaves that reach that key differ exactly by automorphisms, which
-``orbit_representatives`` uses to keep one vertex set per Aut(g)-orbit.
+wins.
 """
 
 from __future__ import annotations
 
 from .errors import DecodeError
-from .graphs import MAX_N, Graph, VertexSet
+from .graphs import MAX_N, Graph
 
 #: Total-order canonical encoding of a graph; byte-compare gives the order.
 CanonKey = bytes
 
 
-def _twin_classes(g: Graph) -> list[list[int]]:
+def twin_classes(g: Graph) -> list[list[int]]:
     """Partition vertices into identical-neighborhood classes.
 
     Classes are listed by ascending first member and hold their members in
@@ -90,18 +89,10 @@ def _encode(n: int, rows: tuple[int, ...], order: list[int]) -> bytes:
     return bytes([n]) + bits.to_bytes((nbits + 7) // 8, "big")
 
 
-def _search(g: Graph, classes: list[list[int]]) -> tuple[CanonKey, list[list[int]]]:
-    """The minimum key over the search leaves, with every leaf order reaching it.
-
-    A leaf order lists the vertices class by class, each twin class in
-    ascending order.  Two leaves with the minimum key encode the same labeled
-    graph, so the position-by-position map between their orders is an
-    automorphism of g sending each twin class onto a twin class member by
-    member.  The search tree is invariant under such automorphisms, so the
-    maps from the first minimum leaf to all of them are every such
-    automorphism, each once.
-    """
+def canonical_form(g: Graph) -> CanonKey:
+    """Relabeling-invariant key; equal keys <=> isomorphic graphs."""
     n = g.order
+    classes = twin_classes(g)
     reps = [cell[0] for cell in classes]
     qadj = []
     for r in reps:
@@ -116,10 +107,9 @@ def _search(g: Graph, classes: list[list[int]]) -> tuple[CanonKey, list[list[int
 
     rows = g.adj
     best_key: bytes | None = None
-    best_orders: list[list[int]] = []
 
     def search(part: list[list[int]]) -> None:
-        nonlocal best_key, best_orders
+        nonlocal best_key
         target = -1
         for ci, cell in enumerate(part):
             if len(cell) > 1:
@@ -130,9 +120,6 @@ def _search(g: Graph, classes: list[list[int]]) -> tuple[CanonKey, list[list[int
             key = _encode(n, rows, order)
             if best_key is None or key < best_key:
                 best_key = key
-                best_orders = [order]
-            elif key == best_key:
-                best_orders.append(order)
             return
         cell = part[target]
         for x in cell:
@@ -141,66 +128,7 @@ def _search(g: Graph, classes: list[list[int]]) -> tuple[CanonKey, list[list[int
             search(_refine(qadj, trial))
 
     search(_refine(qadj, partition))
-    return best_key, best_orders
-
-
-def canonical_form(g: Graph) -> CanonKey:
-    """Relabeling-invariant key; equal keys <=> isomorphic graphs."""
-    return _search(g, _twin_classes(g))[0]
-
-
-def _automorphisms(g: Graph, classes: list[list[int]]) -> list[list[int]]:
-    """The automorphisms of g other than the identity that map each twin class
-    onto a twin class member by member, as lists of vertex images."""
-    _, orders = _search(g, classes)
-    maps = []
-    for order in orders[1:]:
-        image = [0] * g.order
-        for u, w in zip(orders[0], order):
-            image[u] = w
-        maps.append(image)
-    return maps
-
-
-def orbit_representatives(g: Graph, sets: list[VertexSet]) -> list[VertexSet]:
-    """The first set of each Aut(g)-orbit among the vertex masks ``sets``, in list order.
-
-    Twins are interchangeable, so a set is first normalized to the lowest
-    members of each twin class it meets; the orbit of a normalized set is
-    then its images under the automorphisms from the canonical search.  On
-    an ascending list this keeps the lowest mask of every orbit.
-    """
-    classes = _twin_classes(g)
-    maps = _automorphisms(g, classes)
-    prefixes = []
-    for cell in classes:
-        if len(cell) > 1:
-            masks = [0]
-            for v in cell:
-                masks.append(masks[-1] | 1 << v)
-            prefixes.append((masks[-1], masks))
-
-    seen: set[VertexSet] = set()
-    kept = []
-    for s in sets:
-        t = s
-        for members, masks in prefixes:
-            inside = s & members
-            if inside:
-                t ^= inside ^ masks[inside.bit_count()]
-        if t in seen:
-            continue
-        kept.append(s)
-        seen.add(t)
-        for image in maps:
-            moved = 0
-            rest = t
-            while rest:
-                low = rest & -rest
-                moved |= 1 << image[low.bit_length() - 1]
-                rest ^= low
-            seen.add(moved)
-    return kept
+    return best_key
 
 
 def canonical_graph(g: Graph) -> tuple[CanonKey, Graph]:

@@ -147,16 +147,12 @@ def _smallest_sparse_set(adj: tuple[int, ...], n: int, k: int, size: int,
 
 def has_k_sparse_set(g: Graph, k: int, j: int) -> SparseWitness | None:
     """Search the whole graph for a k-sparse set of exactly size j."""
-    if j == 0:
-        return SparseWitness(0, k)
     mask = _smallest_sparse_set(g.adj, g.order, k, j)
     return None if mask is None else SparseWitness(mask, k)
 
 
 def has_k_dense_set(g: Graph, k: int, i: int) -> DenseWitness | None:
     """Search the whole graph for a k-dense set of exactly size i."""
-    if i == 0:
-        return DenseWitness(0, k)
     mask = _smallest_sparse_set(complement(g).adj, g.order, k, i)
     return None if mask is None else DenseWitness(mask, k)
 

@@ -2,17 +2,18 @@
 
 A level holds, per isomorphism class, one triangle-free graph of a fixed
 order with no k-sparse j-set and (in R mode) no k-dense i-set.  The step to
-the next order attaches a new vertex to one independent set per
-automorphism orbit of every member (which preserves triangle-freeness by
-construction, and loses no class: sets in one orbit give isomorphic
-children), keeps a child only when no forbidden set passes through the new
-vertex, and deduplicates by canonical key.  Members are stored canonically
-labeled and sorted by key, so levels are byte-stable regardless of worker
-count or merge order: a child travels as its key alone, and each class is
-decoded once from it.
+the next order attaches a new vertex to independent sets of every member
+(which preserves triangle-freeness by construction), only where the new
+vertex has maximum degree in the child and only to one set per twin-class
+count pattern (neither rule loses a class; see
+``surviving_extension_sets``), keeps a child only when no forbidden set
+passes through the new vertex, and deduplicates by canonical key.  Members
+are stored canonically labeled and sorted by key, so levels are byte-stable
+regardless of worker count or merge order: a child travels as its key
+alone, and each class is decoded once from it.
 
-The forbidden-set test runs once per parent over all its orbit
-representatives at once: a table of the parent's k-sparse (j-1)-sets, each
+The forbidden-set test runs once per parent over all its remaining
+attachment sets at once: a table of the parent's k-sparse (j-1)-sets, each
 with its members whose internal degree is already k, decides every
 attachment set through a numpy broadcast.  Masks cover the parent's
 vertices only (< 2**MAX_N), so int64 arithmetic never overflows.
@@ -20,20 +21,14 @@ vertices only (< 2**MAX_N), so int64 arithmetic never overflows.
 
 from __future__ import annotations
 
-import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .canon import (
-    CanonKey,
-    canonical_form,
-    canonical_graph,
-    decode_key,
-    orbit_representatives,
-)
+from .canon import CanonKey, canonical_form, canonical_graph, decode_key, twin_classes
 from .defect import (
     has_k_dense_set,
     has_k_dense_set_containing,
@@ -131,11 +126,8 @@ def find_forbidden_set(g: Graph, spec: ProblemSpec):
 
 
 def initial_level(spec: ProblemSpec) -> LevelSet:
-    """The order-1 level: K1 (always a member for j, i >= 2)."""
-    g = single_vertex()
-    if not verify_membership(g, spec):
-        return LevelSet(1, ())
-    return LevelSet(1, (canonical_graph(g),))
+    """The order-1 level: K1 (always a member, since ``ProblemSpec`` has j, i >= 2)."""
+    return LevelSet(1, (canonical_graph(single_vertex()),))
 
 
 @lru_cache(maxsize=64)
@@ -184,18 +176,41 @@ def _rejected(attach: np.ndarray, patterns, k: int) -> np.ndarray:
 
 
 def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
-    """One independent set of g per Aut(g)-orbit whose extension survives.
+    """The surviving independent sets of g in twin-prefix form whose new
+    vertex has maximum degree in the child, in ascending order.
 
-    Each is the lowest mask of its orbit, in ascending order.  Sets in one
-    orbit give isomorphic children (an automorphism of g fixing the new
-    vertex maps one onto the other), so only orbit representatives go
-    through the filter.  A set s survives when attaching a new vertex to it
-    creates no k-sparse j-set through that vertex and (in R mode) no k-dense
-    i-set through it: a k-sparse j-set through the new vertex is the vertex
-    plus a k-sparse (j-1)-set of g, and the dense side is the same test in
-    the complement, where the new vertex sees every parent vertex outside s.
+    Two rules choose the attachment sets s before the filter:
+
+    (a) the new vertex, of degree |s|, has maximum degree in the child:
+        |s| > D, or |s| == D and s holds no vertex of degree D, where D is
+        the maximum degree of g;
+    (b) s meets every twin class c0 < c1 < ... of g in a prefix:
+        c_i in s implies c_(i-1) in s.
+
+    Neither loses a class.  Take a class G' of the next level and a
+    maximum-degree vertex w of it.  G' - w is a member (membership is
+    hereditary), so an isomorphism p maps it onto its stored parent P, and
+    s = p(N(w)) passes (a): P + s is G' with w as the new vertex.  Moving s
+    to its twin-prefix form is an automorphism of P; it keeps |s|, and it
+    keeps whether s holds a vertex of degree D, since twins have equal
+    degrees, so (a) still holds and the child's class is the same.
+
+    A set s survives when attaching a new vertex to it creates no k-sparse
+    j-set through that vertex and (in R mode) no k-dense i-set through it:
+    a k-sparse j-set through the new vertex is the vertex plus a k-sparse
+    (j-1)-set of g, and the dense side is the same test in the complement,
+    where the new vertex sees every parent vertex outside s.
     """
-    sets = np.array(orbit_representatives(g, independent_set_masks(g)), dtype=np.int64)
+    sets = np.array(independent_set_masks(g), dtype=np.int64)
+    degrees = [row.bit_count() for row in g.adj]
+    top_degree = max(degrees, default=0)
+    top = sum(1 << u for u, d in enumerate(degrees) if d == top_degree)
+    size = np.bitwise_count(sets)
+    keep = (size > top_degree) | ((size == top_degree) & ((sets & top) == 0))
+    for cell in twin_classes(g):
+        for earlier, later in zip(cell, cell[1:]):
+            keep &= (sets >> later & 1) <= (sets >> earlier & 1)
+    sets = sets[keep]
     sets = sets[~_rejected(sets, _sparse_patterns(g.adj, spec.k, spec.j - 1), spec.k)]
     if spec.i is not None:
         dense = _sparse_patterns(complement(g).adj, spec.k, spec.i - 1)
@@ -204,11 +219,11 @@ def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
 
 
 def extend_graph(g: Graph, spec: ProblemSpec) -> list[Graph]:
-    """One surviving one-vertex extension of g per orbit of attachment sets.
+    """The surviving one-vertex extensions of g on the attachment sets that
+    ``surviving_extension_sets`` returns, in its order.
 
-    In ascending order of the attachment sets returned by
-    ``surviving_extension_sets``.  Children from different orbits may still
-    be isomorphic; the level merge deduplicates those by key.
+    Children of different sets may still be isomorphic; the level merge
+    deduplicates those by key.
     """
     return [add_vertex(g, s) for s in surviving_extension_sets(g, spec)]
 
@@ -237,14 +252,13 @@ def _extend_entries(args) -> list[CanonKey]:
             for s in surviving_extension_sets(parent, ProblemSpec(k=k, j=j, i=i))]
 
 
-def level_at(spec: ProblemSpec, order: int, *, workers: int = 1,
-             max_cardinality: int | None = None) -> LevelSet:
+def level_at(spec: ProblemSpec, order: int, *, workers: int = 1) -> LevelSet:
     """The level of the given order >= 1, grown from K1 (empty once the search dies)."""
     if order < 1:
         raise ConstructionError(f"level order {order} < 1")
     level = initial_level(spec)
     while level.order < order and len(level) > 0:
-        level = level_step(level, spec, workers=workers, max_cardinality=max_cardinality)
+        level = level_step(level, spec, workers=workers)
     if level.order < order:
         return LevelSet(order, ())
     return level
@@ -256,7 +270,8 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, workers: int = 1,
 
     Output is identical for any ``workers`` value: workers return only the
     canonical keys of the children, the merge is a set of keys, and each
-    class is decoded once from its key, in key order, at the end.
+    class is decoded once from its key, in key order, at the end.  A worker
+    process that dies raises ``BrokenProcessPool`` rather than hanging.
     """
     next_order = level.order + 1
     tasks = [(g.adj, g.order, spec.k, spec.j, spec.i) for _, g in level.members]
@@ -271,9 +286,9 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, workers: int = 1,
         for task in tasks:
             absorb(_extend_entries(task))
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
-            for keys in pool.imap_unordered(_extend_entries, tasks,
-                                            chunksize=max(1, len(tasks) // (workers * 8))):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for keys in pool.map(_extend_entries, tasks,
+                                 chunksize=max(1, len(tasks) // (workers * 8))):
                 absorb(keys)
 
     members = tuple((key, decode_key(key)) for key in sorted(merged))

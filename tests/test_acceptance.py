@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +293,17 @@ def test_blank_cell_caps_cleanly(tmp_path):
 
 
 # -- criterion 9: stretch reproductions (not CI-gated) -----------------------
+
+T_1_7_LEVEL_11 = Path(__file__).resolve().parents[1] / "perfbench/fixtures/t1_7-level-11.lvl"
+
+
+@pytest.mark.moderate
+def test_t_1_7_level_11_matches_fixture(tmp_path):
+    # The pinned 31,011-member order-11 level of T_1(7), byte for byte.
+    compute_number(ProblemSpec(k=1, j=7),
+                   RunLimits(max_order=11, worker_count=2, checkpoint_dir=tmp_path))
+    ok = (tmp_path / level_filename(11)).read_bytes() == T_1_7_LEVEL_11.read_bytes()
+    announce("9c T_1(7) order-11 level matches the pinned level file", ok)
 
 
 @pytest.mark.stretch

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import triramsey
 from triramsey import (
     ConstructionError,
     LevelCardinalityExceeded,
@@ -92,8 +98,9 @@ def test_level_at_rejects_orders_below_one():
 
 
 @pytest.mark.parametrize("spec", [ProblemSpec(k=1, j=5), ProblemSpec(k=2, j=6),
-                                  ProblemSpec(k=1, j=6, i=4)])
-def test_orbit_pruning_is_lossless(spec):
+                                  ProblemSpec(k=1, j=6, i=4), ProblemSpec(k=0, j=4),
+                                  ProblemSpec(k=3, j=7), ProblemSpec(k=0, j=4, i=4)])
+def test_attachment_rules_are_lossless(spec):
     """Level keys equal an unpruned step: every independent set, filtered by
     ``reject_extension_slow``, every child labeled."""
     level = initial_level(spec)
@@ -148,6 +155,46 @@ def test_worker_counts_agree():
     two = level_at(spec, 8, workers=2)
     assert serial == two
     assert all(g == decode_key(key) for level in (serial, two) for key, g in level.members)
+
+
+KILL_ONE_WORKER = textwrap.dedent("""
+    import os
+    from concurrent.futures.process import BrokenProcessPool
+
+    from triramsey import ProblemSpec, enumeration, level_at, level_step
+
+    extend = enumeration._extend_entries
+
+    def dying(task):
+        if repr(task[0]) == os.environ.get("DIE_ON"):
+            os._exit(1)
+        return extend(task)
+
+    enumeration._extend_entries = dying
+
+    if __name__ == "__main__":
+        spec = ProblemSpec(k=1, j=6)
+        level = level_at(spec, 6)
+        os.environ["DIE_ON"] = repr(level.members[0][1].adj)
+        try:
+            level_step(level, spec, workers=2)
+        except BrokenProcessPool:
+            print("broken pool")
+""")
+
+
+def test_killed_worker_breaks_the_step(tmp_path):
+    """A worker process that dies mid-step raises instead of hanging the step.
+
+    Runs in a child interpreter with a timeout, so a hang fails the test."""
+    script = tmp_path / "kill_one_worker.py"
+    script.write_text(KILL_ONE_WORKER)
+    src = str(Path(triramsey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.stdout.strip() == "broken pool", result.stderr
 
 
 def test_monotone_termination():
