@@ -2,8 +2,6 @@
 
 from .canon import CanonKey, are_isomorphic, canonical_form, canonical_graph, decode_key
 from .defect import (
-    DenseWitness,
-    SparseWitness,
     alpha_k,
     dense_cap_check,
     has_k_dense_set,

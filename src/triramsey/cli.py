@@ -120,7 +120,7 @@ def _cmd_check(args) -> int:
 def _cmd_bound(args) -> int:
     g = graph6_decode(args.graph)
     witness = sparse_bound_witness(g, args.k)
-    print(f"{args.k}-sparse set of size {witness.size}: {_format_set(witness.set)}")
+    print(f"{args.k}-sparse set of size {witness.bit_count()}: {_format_set(witness)}")
     return EXIT_OK
 
 

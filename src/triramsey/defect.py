@@ -10,40 +10,8 @@ are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConstructionError
 from .graphs import Graph, VertexSet, complement, is_triangle_free, set_members
-
-
-@dataclass(frozen=True)
-class SparseWitness:
-    """A vertex set certified k-sparse in some graph."""
-
-    set: VertexSet
-    k: int
-
-    @property
-    def size(self) -> int:
-        return self.set.bit_count()
-
-    def vertices(self) -> list[int]:
-        return list(set_members(self.set))
-
-
-@dataclass(frozen=True)
-class DenseWitness:
-    """A vertex set certified k-dense in some graph."""
-
-    set: VertexSet
-    k: int
-
-    @property
-    def size(self) -> int:
-        return self.set.bit_count()
-
-    def vertices(self) -> list[int]:
-        return list(set_members(self.set))
 
 
 def _check_subset(g: Graph, s: VertexSet) -> None:
@@ -145,58 +113,43 @@ def _smallest_sparse_set(adj: tuple[int, ...], n: int, k: int, size: int,
     return _extend_smallest(adj, k, required, cand, size - have)
 
 
-def has_k_sparse_set(g: Graph, k: int, j: int) -> SparseWitness | None:
+def has_k_sparse_set(g: Graph, k: int, j: int) -> VertexSet | None:
     """Search the whole graph for a k-sparse set of exactly size j."""
-    mask = _smallest_sparse_set(g.adj, g.order, k, j)
-    return None if mask is None else SparseWitness(mask, k)
+    return _smallest_sparse_set(g.adj, g.order, k, j)
 
 
-def has_k_dense_set(g: Graph, k: int, i: int) -> DenseWitness | None:
+def has_k_dense_set(g: Graph, k: int, i: int) -> VertexSet | None:
     """Search the whole graph for a k-dense set of exactly size i."""
-    mask = _smallest_sparse_set(complement(g).adj, g.order, k, i)
-    return None if mask is None else DenseWitness(mask, k)
+    return _smallest_sparse_set(complement(g).adj, g.order, k, i)
 
 
-def has_k_sparse_set_containing(g: Graph, v: int, k: int, j: int) -> SparseWitness | None:
+def has_k_sparse_set_containing(g: Graph, v: int, k: int, j: int) -> VertexSet | None:
     """Like :func:`has_k_sparse_set` but only over sets containing v."""
     if v < 0 or v >= g.order:
         raise ConstructionError(f"vertex {v} outside the graph")
-    mask = _smallest_sparse_set(g.adj, g.order, k, j, required=1 << v)
-    return None if mask is None else SparseWitness(mask, k)
+    return _smallest_sparse_set(g.adj, g.order, k, j, required=1 << v)
 
 
-def has_k_dense_set_containing(g: Graph, v: int, k: int, i: int) -> DenseWitness | None:
+def has_k_dense_set_containing(g: Graph, v: int, k: int, i: int) -> VertexSet | None:
     """Like :func:`has_k_dense_set` but only over sets containing v."""
     if v < 0 or v >= g.order:
         raise ConstructionError(f"vertex {v} outside the graph")
-    mask = _smallest_sparse_set(complement(g).adj, g.order, k, i, required=1 << v)
-    return None if mask is None else DenseWitness(mask, k)
+    return _smallest_sparse_set(complement(g).adj, g.order, k, i, required=1 << v)
 
 
-def alpha_k(g: Graph, k: int) -> tuple[int, SparseWitness]:
-    """Exact size of a largest k-sparse set, with one witness of that size."""
-    adj = g.adj
-    best = 0
+def alpha_k(g: Graph, k: int) -> tuple[int, VertexSet]:
+    """Exact size of a largest k-sparse set, with the smallest-bitmask one.
 
-    def grow(chosen: int, cand: int, count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        while cand:
-            if count + cand.bit_count() <= best:
-                return
-            u = cand.bit_length() - 1
-            bit = 1 << u
-            cand &= ~bit
-            new_chosen = chosen | bit
-            grow(new_chosen, _narrow_candidates(adj, k, new_chosen, cand, u), count + 1)
-
-    grow(0, g.full_mask(), 0)
-    witness = _smallest_sparse_set(adj, g.order, k, best) if best else 0
-    return best, SparseWitness(witness, k)
+    Every subset of a k-sparse set is k-sparse, so the sizes with a k-sparse
+    set are exactly 0..alpha_k and the first size without one ends the scan.
+    """
+    size, witness = 0, 0
+    while (found := _smallest_sparse_set(g.adj, g.order, k, size + 1)) is not None:
+        size, witness = size + 1, found
+    return size, witness
 
 
-def sparse_bound_witness(g: Graph, k: int) -> SparseWitness:
+def sparse_bound_witness(g: Graph, k: int) -> VertexSet:
     """A k-sparse set of size >= ceil(n / ceil((max_degree+1)/(k+1))).
 
     Colors the vertices with c = ceil((max_degree+1)/(k+1)) colors and
@@ -239,8 +192,7 @@ def sparse_bound_witness(g: Graph, k: int) -> SparseWitness:
     else:  # pragma: no cover - contradicts the strict decrease argument
         raise RuntimeError("recoloring failed to terminate")
 
-    best = max(classes, key=lambda m: (m.bit_count(), -m))
-    return SparseWitness(best, k)
+    return max(classes, key=lambda m: (m.bit_count(), -m))
 
 
 def dense_cap_check(g: Graph, k: int) -> bool:

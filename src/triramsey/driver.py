@@ -77,16 +77,22 @@ def _write_checkpoint(level: LevelSet, spec: ProblemSpec, limits: RunLimits) -> 
 
 
 def _iterate(spec: ProblemSpec, limits: RunLimits, level: LevelSet,
-             resumed_from: int | None) -> RunReport:
-    counts: dict[int, int] = {}
+             resumed_from: int | None, previous: LevelSet | None = None) -> RunReport:
+    """Grow ``level`` until it empties or a limit stops the run.
+
+    ``previous`` is the level below ``level``, when known; an empty level
+    without one (a resumed file with no sibling) decides the value but not
+    the extremal graphs, so the run reports ``capped`` with that value.
+    """
+    counts: dict[int, int] = {} if previous is None else {previous.order: len(previous)}
     times: dict[int, float] = {level.order: 0.0}
-    previous: LevelSet | None = None
     while True:
         counts[level.order] = len(level)
         _write_checkpoint(level, spec, limits)
         if len(level) == 0:
-            extremals = tuple(previous.graphs()) if previous is not None else ()
-            return RunReport(spec, COMPLETED, level.order, extremals,
+            if previous is None:
+                return RunReport(spec, CAPPED, level.order, (), counts, times, resumed_from)
+            return RunReport(spec, COMPLETED, level.order, tuple(previous.graphs()),
                              counts, times, resumed_from)
         if level.order >= limits.max_order:
             return RunReport(spec, CAPPED, None, (), counts, times, resumed_from)
@@ -128,23 +134,16 @@ def checkpoint_resume(spec: ProblemSpec, checkpoint: str | Path,
     limits = limits or RunLimits()
     path = Path(checkpoint)
     level = _read_verified(path, spec)
-
+    previous = None
     if len(level) == 0:
         # The number is already decided; extremal graphs live in the
         # previous level's file when it sits next to this one.
-        counts = {level.order: 0}
-        times = {level.order: 0.0}
         sibling = path.with_name(level_filename(level.order - 1))
         if level.order > 1 and sibling.exists():
             prior = _read_verified(sibling, spec)
             if len(prior) > 0 and prior.order == level.order - 1:
-                counts[prior.order] = len(prior)
-                return RunReport(spec, COMPLETED, level.order, tuple(prior.graphs()),
-                                 counts, times, resumed_from=level.order)
-        return RunReport(spec, CAPPED, level.order, (), counts, times,
-                         resumed_from=level.order)
-
-    return _iterate(spec, limits, level, resumed_from=level.order)
+                previous = prior
+    return _iterate(spec, limits, level, resumed_from=level.order, previous=previous)
 
 
 @dataclass(frozen=True)

@@ -115,13 +115,13 @@ def find_forbidden_set(g: Graph, spec: ProblemSpec):
     triangle = find_triangle(g)
     if triangle is not None:
         return "triangle", triangle
-    witness = has_k_sparse_set(g, spec.k, spec.j)
-    if witness is not None:
-        return "sparse", witness.set
+    sparse = has_k_sparse_set(g, spec.k, spec.j)
+    if sparse is not None:
+        return "sparse", sparse
     if spec.i is not None:
         dense = has_k_dense_set(g, spec.k, spec.i)
         if dense is not None:
-            return "dense", dense.set
+            return "dense", dense
     return None
 
 

@@ -147,7 +147,7 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     j = _parse_header_int(lines, 3, "j")
     order = _parse_header_int(lines, 4, "order")
     count = _parse_header_int(lines, 5, "count")
-    if len(lines) < 7 or lines[6] != "begin":
+    if lines[6] != "begin":
         raise IntegrityError("level file line 7: missing 'begin' marker")
     body = lines[7:7 + count]
     if len(body) != count:

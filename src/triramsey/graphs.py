@@ -68,9 +68,6 @@ class Graph:
                 out.append((u, u + 1 + w))
         return out
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def full_mask(self) -> VertexSet:
         return (1 << self.order) - 1
 

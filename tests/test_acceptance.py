@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import os
 import random
+import warnings
+from collections import defaultdict
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from triramsey import (
@@ -113,6 +116,35 @@ def test_criterion_2_moderate_cells():
                   f"expected {value} ({count})")
         ok = ok and cell_ok
     announce("2 moderate cells", ok)
+
+
+def _networkx(g) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges())
+    return h
+
+
+@pytest.mark.moderate
+def test_criterion_2_extremals_pairwise_non_isomorphic():
+    # Beyond the oracle's order 9: bucket by Weisfeiler-Lehman hash, then VF2
+    # within each bucket; networkx shares no code with the canonical labeling.
+    ok = True
+    for k, j in [(2, 7), (5, 10), (1, 6)]:
+        buckets = defaultdict(list)
+        with warnings.catch_warnings():
+            # networkx >= 3.5 warns that its hashes changed in that release.
+            warnings.filterwarnings("ignore", "The hashes produced", UserWarning)
+            for g in run_spec(k, j).extremals:
+                h = _networkx(g)
+                buckets[nx.weisfeiler_lehman_graph_hash(h, iterations=3)].append(h)
+        clash = any(nx.is_isomorphic(a, b)
+                    for bucket in buckets.values()
+                    for x, a in enumerate(bucket) for b in bucket[x + 1:])
+        if clash:
+            print(f"  T_{k}({j}): two extremals are isomorphic")
+        ok = ok and not clash
+    announce("2b moderate-cell extremals pairwise non-isomorphic (VF2)", ok)
 
 
 # -- criterion 3: R_1(4, j) row and figure extremals -------------------------
@@ -245,8 +277,8 @@ def test_criterion_8_recoloring_bound():
         k = trial % 4
         witness = sparse_bound_witness(g, k)
         colors = -((g.max_degree() + 1) // -(k + 1))
-        ok = ok and is_k_sparse_set(g, witness.set, k)
-        ok = ok and witness.size >= -(g.order // -colors)
+        ok = ok and is_k_sparse_set(g, witness, k)
+        ok = ok and witness.bit_count() >= -(g.order // -colors)
     announce("8c recoloring lower bound (500 graphs)", ok)
 
 
@@ -314,11 +346,16 @@ def test_stretch_t_1_7():
     announce("9a stretch T_1(7)=18 with order-13 level 108243", ok)
 
 
+R_4_9_11_COUNTS = {11: 58435, 12: 174902, 13: 320766, 14: 335626,
+                   15: 138836, 16: 24196, 17: 255, 18: 0}
+
+
 @pytest.mark.stretch
 def test_stretch_r_4_9_11():
     report = run_spec(4, 11, 9)
     ok = (report.value, report.extremal_count) == (18, 255)
-    announce("9b stretch R_4(9,11)=18", ok)
+    ok = ok and all(report.per_level_counts[o] == c for o, c in R_4_9_11_COUNTS.items())
+    announce("9b stretch R_4(9,11)=18 with orders 11-18 pinned", ok)
 
 
 # -- known lower-bound constructions -----------------------------------------

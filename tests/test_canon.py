@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triramsey import (
     MAX_N,
@@ -75,6 +77,31 @@ def test_relabeling_invariance_random():
         g = random_graph(rng, rng.randint(0, 12), p=rng.choice([0.2, 0.5, 0.8]))
         key = canonical_form(g)
         assert canonical_form(permute(g, random_permutation(rng, g.order))) == key
+
+
+@st.composite
+def triangle_free_and_permutation(draw):
+    """A triangle-free graph of order <= 14 from a drawn edge list, plus a
+    relabeling; drawn edges that would close a triangle are skipped."""
+    n = draw(st.integers(1, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    rows = [0] * n
+    for u, v in pairs:
+        if u != v and not rows[u] & rows[v]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, tuple(rows)), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(triangle_free_and_permutation())
+def test_key_invariance_property(drawn):
+    g, pi = drawn
+    validate_graph(g)
+    key = canonical_form(g)
+    assert canonical_form(permute(g, pi)) == key
+    assert canonical_form(decode_key(key)) == key
 
 
 def test_soundness_decoded_key_is_isomorphic():

@@ -58,8 +58,8 @@ def test_is_k_dense_examples():
 def test_has_k_sparse_set_examples():
     assert has_k_sparse_set(complete_bipartite(3, 3), 1, 4) is None
     witness = has_k_sparse_set(cycle(5), 1, 3)
-    assert witness is not None and witness.size == 3
-    assert is_k_sparse_set(cycle(5), witness.set, 1)
+    assert witness is not None and witness.bit_count() == 3
+    assert is_k_sparse_set(cycle(5), witness, 1)
     assert has_k_sparse_set(blow_up(cycle(5), 2), 1, 5) is None
 
 
@@ -67,27 +67,27 @@ def test_witness_is_smallest_bitmask():
     witness = has_k_sparse_set(cycle(5), 1, 3)
     candidates = [m for m in range(1 << 5)
                   if m.bit_count() == 3 and is_k_sparse_set(cycle(5), m, 1)]
-    assert witness.set == min(candidates)
+    assert witness == min(candidates)
 
 
 def test_containing_examples():
     c4 = cycle(4)
     dense = has_k_dense_set_containing(c4, 0, 1, 4)
-    assert dense is not None and dense.set == c4.full_mask()
+    assert dense is not None and dense == c4.full_mask()
     assert has_k_sparse_set_containing(single_vertex(), 0, 1, 2) is None
     p3 = path(3)
     assert has_k_sparse_set_containing(p3, 1, 0, 2) is None
     through_leaf = has_k_sparse_set_containing(p3, 0, 0, 2)
-    assert through_leaf is not None and through_leaf.set == vertex_set([0, 2])
+    assert through_leaf is not None and through_leaf == vertex_set([0, 2])
 
 
 def test_alpha_k_examples():
     for n in (1, 4, 6):
         for k in (0, 1, 3):
             size, witness = alpha_k(empty_graph(n), k)
-            assert size == n and witness.set == (1 << n) - 1
+            assert size == n and witness == (1 << n) - 1
     size, witness = alpha_k(cycle(5), 1)
-    assert size == 3 and is_k_sparse_set(cycle(5), witness.set, 1)
+    assert size == 3 and is_k_sparse_set(cycle(5), witness, 1)
     size, _ = alpha_k(complete_bipartite(6, 6), 2)
     assert size == 6
 
@@ -99,8 +99,8 @@ def test_alpha_k_matches_brute_force(seed):
     for k in (0, 1, 2):
         size, witness = alpha_k(g, k)
         assert size == brute_alpha_k(g, k)
-        assert witness.size == size
-        assert is_k_sparse_set(g, witness.set, k)
+        assert witness.bit_count() == size
+        assert is_k_sparse_set(g, witness, k)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -124,7 +124,7 @@ def test_containing_search_agrees_with_brute_force(seed):
                     for m in range(1 << g.order))
         assert (found is not None) == brute
         if found is not None:
-            assert found.set >> v & 1 and found.size == j
+            assert found >> v & 1 and found.bit_count() == j
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -145,7 +145,7 @@ def test_hereditary(seed):
     k = rng.randint(0, 2)
     size, witness = alpha_k(g, k)
     for _ in range(10):
-        sub = witness.set & rng.randrange(1 << g.order)
+        sub = witness & rng.randrange(1 << g.order)
         assert is_k_sparse_set(g, sub, k)
     full = g.full_mask()
     dense_k = rng.randint(0, 3)
@@ -165,14 +165,14 @@ def test_alpha_monotone_in_k(seed):
 
 def test_sparse_bound_witness_examples():
     w = sparse_bound_witness(cycle(5), 1)
-    assert w.size >= 3 and is_k_sparse_set(cycle(5), w.set, 1)
+    assert w.bit_count() >= 3 and is_k_sparse_set(cycle(5), w, 1)
     # max degree <= k: the single color class is everything
     g = cycle(6)  # degree 2
     w = sparse_bound_witness(g, 2)
-    assert w.set == g.full_mask()
+    assert w == g.full_mask()
     pet = petersen()
     w = sparse_bound_witness(pet, 1)
-    assert w.size >= 5 and is_k_sparse_set(pet, w.set, 1)
+    assert w.bit_count() >= 5 and is_k_sparse_set(pet, w, 1)
     assert brute_alpha_k(pet, 1) >= 5
 
 
@@ -182,9 +182,9 @@ def test_sparse_bound_meets_guarantee(seed):
     g = random_graph(rng, rng.randint(1, 9))
     k = seed % 4
     w = sparse_bound_witness(g, k)
-    assert is_k_sparse_set(g, w.set, k)
+    assert is_k_sparse_set(g, w, k)
     colors = -((g.max_degree() + 1) // -(k + 1))
-    assert w.size >= -(g.order // -colors)
+    assert w.bit_count() >= -(g.order // -colors)
 
 
 def test_dense_cap_examples():

@@ -110,6 +110,16 @@ def test_resume_from_empty_level_without_sibling(tmp_path):
     assert report.extremals == ()
 
 
+def test_resume_from_empty_level_writes_checkpoint(tmp_path):
+    spec = ProblemSpec(k=1, j=4)
+    compute_number(spec, RunLimits(checkpoint_dir=tmp_path / "base"))
+    source = tmp_path / "base" / level_filename(7)
+    report = checkpoint_resume(spec, source, RunLimits(checkpoint_dir=tmp_path / "out"))
+    assert (report.status, report.value, report.per_level_counts) == (COMPLETED, 7, {6: 2, 7: 0})
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [level_filename(7)]
+    assert (tmp_path / "out" / level_filename(7)).read_bytes() == source.read_bytes()
+
+
 def test_resume_spec_conflict(tmp_path):
     spec = ProblemSpec(k=1, j=4)
     compute_number(spec, RunLimits(checkpoint_dir=tmp_path))
