@@ -10,7 +10,10 @@ resumed exactly where it stopped.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .canon import are_isomorphic
@@ -83,27 +86,33 @@ def _iterate(spec: ProblemSpec, limits: RunLimits, level: LevelSet,
     ``previous`` is the level below ``level``, when known; an empty level
     without one (a resumed file with no sibling) decides the value but not
     the extremal graphs, so the run reports ``capped`` with that value.
+    With more than one worker, one process pool serves every level step of
+    the run; a worker process that dies raises ``BrokenProcessPool``.
     """
     counts: dict[int, int] = {} if previous is None else {previous.order: len(previous)}
     times: dict[int, float] = {level.order: 0.0}
-    while True:
-        counts[level.order] = len(level)
-        _write_checkpoint(level, spec, limits)
-        if len(level) == 0:
-            if previous is None:
-                return RunReport(spec, CAPPED, level.order, (), counts, times, resumed_from)
-            return RunReport(spec, COMPLETED, level.order, tuple(previous.graphs()),
-                             counts, times, resumed_from)
-        if level.order >= limits.max_order:
-            return RunReport(spec, CAPPED, None, (), counts, times, resumed_from)
-        started = time.perf_counter()
-        try:
-            grown = level_step(level, spec, workers=limits.worker_count,
-                               max_cardinality=limits.max_level_cardinality)
-        except LevelCardinalityExceeded:
-            return RunReport(spec, CAPPED, None, (), counts, times, resumed_from)
-        times[grown.order] = time.perf_counter() - started
-        previous, level = level, grown
+    workers = limits.worker_count
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        while True:
+            counts[level.order] = len(level)
+            _write_checkpoint(level, spec, limits)
+            if len(level) == 0:
+                if previous is None:
+                    return RunReport(spec, CAPPED, level.order, (), counts, times, resumed_from)
+                return RunReport(spec, COMPLETED, level.order, tuple(previous.graphs()),
+                                 counts, times, resumed_from)
+            if level.order >= limits.max_order:
+                return RunReport(spec, CAPPED, None, (), counts, times, resumed_from)
+            mapper = map if pool is None else partial(
+                pool.map, chunksize=max(1, len(level) // (workers * 8)))
+            started = time.perf_counter()
+            previous = level
+            try:
+                level = level_step(previous, spec, mapper=mapper,
+                                   max_cardinality=limits.max_level_cardinality)
+            except LevelCardinalityExceeded:
+                return RunReport(spec, CAPPED, None, (), counts, times, resumed_from)
+            times[level.order] = time.perf_counter() - started
 
 
 def compute_number(spec: ProblemSpec, limits: RunLimits | None = None) -> RunReport:

@@ -21,7 +21,6 @@ vertices only (< 2**MAX_N), so int64 arithmetic never overflows.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -252,44 +251,34 @@ def _extend_entries(args) -> list[CanonKey]:
             for s in surviving_extension_sets(parent, ProblemSpec(k=k, j=j, i=i))]
 
 
-def level_at(spec: ProblemSpec, order: int, *, workers: int = 1) -> LevelSet:
-    """The level of the given order >= 1, grown from K1 (empty once the search dies)."""
+def level_at(spec: ProblemSpec, order: int) -> LevelSet:
+    """The level of the given order >= 1, grown in-process from K1 (empty once the search dies)."""
     if order < 1:
         raise ConstructionError(f"level order {order} < 1")
     level = initial_level(spec)
     while level.order < order and len(level) > 0:
-        level = level_step(level, spec, workers=workers)
+        level = level_step(level, spec)
     if level.order < order:
         return LevelSet(order, ())
     return level
 
 
-def level_step(level: LevelSet, spec: ProblemSpec, *, workers: int = 1,
+def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
                max_cardinality: int | None = None) -> LevelSet:
     """Extend every member by one vertex and deduplicate the next level.
 
-    Output is identical for any ``workers`` value: workers return only the
-    canonical keys of the children, the merge is a set of keys, and each
-    class is decoded once from its key, in key order, at the end.  A worker
-    process that dies raises ``BrokenProcessPool`` rather than hanging.
+    ``mapper(fn, tasks)`` runs the per-parent task, as the builtin ``map``
+    does in-process; the driver passes a process pool's ``map``.  Output is
+    identical for any mapper: tasks return only the canonical keys of the
+    children, the merge is a set of keys, and each class is decoded once
+    from its key, in key order, at the end.
     """
     next_order = level.order + 1
     tasks = [(g.adj, g.order, spec.k, spec.j, spec.i) for _, g in level.members]
     merged: set[CanonKey] = set()
-
-    def absorb(keys: list[CanonKey]) -> None:
+    for keys in mapper(_extend_entries, tasks):
         merged.update(keys)
         if max_cardinality is not None and len(merged) > max_cardinality:
             raise LevelCardinalityExceeded(next_order, max_cardinality)
-
-    if workers <= 1 or len(tasks) < 2:
-        for task in tasks:
-            absorb(_extend_entries(task))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for keys in pool.map(_extend_entries, tasks,
-                                 chunksize=max(1, len(tasks) // (workers * 8))):
-                absorb(keys)
-
     members = tuple((key, decode_key(key)) for key in sorted(merged))
     return LevelSet(next_order, members)

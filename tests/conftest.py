@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import triramsey
 from triramsey import Graph, build_graph, validate_graph
 
 # Reference extremal graphs pinning isomorphism classes for the R-mode cells
@@ -70,3 +75,16 @@ def random_permutation(rng: random.Random, n: int) -> list[int]:
     pi = list(range(n))
     rng.shuffle(pi)
     return pi
+
+
+def run_script(tmp_path: Path, source: str) -> subprocess.CompletedProcess:
+    """Run ``source`` in a child interpreter that imports this checkout's
+    package, capturing its output; the 60 s timeout turns a hang into a
+    failure."""
+    script = tmp_path / "child.py"
+    script.write_text(source)
+    src = str(Path(triramsey.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, timeout=60)

@@ -237,7 +237,7 @@ def test_criterion_7_oracle_equivalence():
     for n in range(1, 8):
         pool = enumerate_all_triangle_free(n)
         for spec in ORACLE_SPECS:
-            produced = level_at(spec, n, workers=WORKERS).graphs()
+            produced = level_at(spec, n).graphs()
             expected = [g for g in pool if brute_membership(g, spec.k, spec.j, spec.i)]
             same = matches_up_to_isomorphism(produced, expected)
             if not same:

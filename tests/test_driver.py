@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import textwrap
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from triramsey import (
@@ -16,6 +19,7 @@ from triramsey import (
     compute_number,
     complete_bipartite,
     cycle,
+    driver,
     graph6_encode,
     probe_conjecture,
     write_level,
@@ -23,6 +27,8 @@ from triramsey import (
 from triramsey.enumeration import LevelSet
 from triramsey.formats import level_filename
 from triramsey.canon import canonical_graph
+
+from .conftest import run_script
 
 
 def extremal_lines(report) -> list[str]:
@@ -172,3 +178,50 @@ def test_probe_conjecture_shares_reports():
     assert ProblemSpec(k=3, j=6) in reports
     again = probe_conjecture(3, reports=reports)
     assert all(c.agrees for c in again)
+
+
+def test_one_pool_per_run(monkeypatch):
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(driver, "ProcessPoolExecutor", CountingPool)
+    spec = ProblemSpec(k=1, j=5)
+    two = compute_number(spec, RunLimits(worker_count=2))
+    assert len(opened) == 1
+    one = compute_number(spec, RunLimits(worker_count=1))
+    assert len(opened) == 1
+    assert (two.value, two.per_level_counts) == (one.value, one.per_level_counts)
+    assert extremal_lines(two) == extremal_lines(one)
+
+
+KILL_A_WORKER_IN_RUN = textwrap.dedent("""
+    import os
+    from concurrent.futures.process import BrokenProcessPool
+
+    from triramsey import ProblemSpec, RunLimits, compute_number, enumeration
+
+    extend = enumeration._extend_entries
+
+    def dying(task):
+        if task[1] == 6:  # a parent of order 6
+            os._exit(1)
+        return extend(task)
+
+    enumeration._extend_entries = dying
+
+    if __name__ == "__main__":
+        try:
+            compute_number(ProblemSpec(k=1, j=6), RunLimits(worker_count=2))
+        except BrokenProcessPool:
+            print("broken pool")
+""")
+
+
+def test_killed_worker_breaks_the_run(tmp_path):
+    """A worker process that dies mid-run raises instead of hanging the run."""
+    result = run_script(tmp_path, KILL_A_WORKER_IN_RUN)
+    assert result.stdout.strip() == "broken pool", result.stderr

@@ -1,15 +1,12 @@
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
-import triramsey
 from triramsey import (
     ConstructionError,
     LevelCardinalityExceeded,
@@ -32,7 +29,7 @@ from triramsey import (
 from triramsey.enumeration import reject_extension_slow
 from triramsey.oracle import brute_membership
 
-from .conftest import random_triangle_free
+from .conftest import random_triangle_free, run_script
 
 
 def test_problem_spec_validation():
@@ -151,14 +148,18 @@ def test_closure_spot_check_moderate_level():
 
 def test_worker_counts_agree():
     spec = ProblemSpec(k=1, j=5)
-    serial = level_at(spec, 8, workers=1)
-    two = level_at(spec, 8, workers=2)
+    serial = level_at(spec, 8)
+    two = initial_level(spec)
+    with ProcessPoolExecutor(2) as pool:
+        while two.order < 8:
+            two = level_step(two, spec, mapper=partial(pool.map, chunksize=3))
     assert serial == two
     assert all(g == decode_key(key) for level in (serial, two) for key, g in level.members)
 
 
 KILL_ONE_WORKER = textwrap.dedent("""
     import os
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     from triramsey import ProblemSpec, enumeration, level_at, level_step
@@ -177,7 +178,8 @@ KILL_ONE_WORKER = textwrap.dedent("""
         level = level_at(spec, 6)
         os.environ["DIE_ON"] = repr(level.members[0][1].adj)
         try:
-            level_step(level, spec, workers=2)
+            with ProcessPoolExecutor(2) as pool:
+                level_step(level, spec, mapper=pool.map)
         except BrokenProcessPool:
             print("broken pool")
 """)
@@ -187,13 +189,7 @@ def test_killed_worker_breaks_the_step(tmp_path):
     """A worker process that dies mid-step raises instead of hanging the step.
 
     Runs in a child interpreter with a timeout, so a hang fails the test."""
-    script = tmp_path / "kill_one_worker.py"
-    script.write_text(KILL_ONE_WORKER)
-    src = str(Path(triramsey.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                            env=env, timeout=60)
+    result = run_script(tmp_path, KILL_ONE_WORKER)
     assert result.stdout.strip() == "broken pool", result.stderr
 
 
