@@ -4,13 +4,17 @@ A level holds, per isomorphism class, one triangle-free graph of a fixed
 order with no k-sparse j-set and (in R mode) no k-dense i-set.  The step to
 the next order attaches a new vertex to independent sets of every member
 (which preserves triangle-freeness by construction), only where the new
-vertex has maximum degree in the child and only to one set per twin-class
-count pattern (neither rule loses a class; see
-``surviving_extension_sets``), keeps a child only when no forbidden set
-passes through the new vertex, and deduplicates by canonical key.  Members
-are stored canonically labeled and sorted by key, so levels are byte-stable
-regardless of worker count or merge order: a child travels as its key
-alone, and each class is decoded once from it.
+vertex maximizes the isomorphism invariant (degree, neighbour-degree sum) in
+the child and only to one set per twin-class count pattern, keeps a child
+only when no forbidden set passes through the new vertex, and deduplicates
+by canonical key.  Neither rule loses a class (``surviving_extension_sets``
+gives the argument): pick a vertex w of a next-level class G' that
+maximizes the pair; an isomorphism p maps G' - w onto a stored parent P,
+and P + p(N(w)) is G' with w as the new vertex; moving that set to its
+twin-prefix form is an automorphism of P, so it keeps every vertex's pair.
+Members are stored canonically labeled and sorted by key, so levels are
+byte-stable regardless of worker count or merge order: a child travels as
+its key alone, and each class is decoded once from it.
 
 The forbidden-set test runs once per parent over all its remaining
 attachment sets at once: a table of the parent's k-sparse (j-1)-sets, each
@@ -176,23 +180,32 @@ def _rejected(attach: np.ndarray, patterns, k: int) -> np.ndarray:
 
 def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
     """The surviving independent sets of g in twin-prefix form whose new
-    vertex has maximum degree in the child, in ascending order.
+    vertex maximizes (degree, neighbour-degree sum) in the child, in
+    ascending order.
 
     Two rules choose the attachment sets s before the filter:
 
-    (a) the new vertex, of degree |s|, has maximum degree in the child:
-        |s| > D, or |s| == D and s holds no vertex of degree D, where D is
-        the maximum degree of g;
+    (a) the new vertex maximizes the pair (degree, sum of its neighbours'
+        degrees), compared lexicographically, over every vertex of the
+        child g + s; ties count as a maximum;
     (b) s meets every twin class c0 < c1 < ... of g in a prefix:
         c_i in s implies c_(i-1) in s.
 
-    Neither loses a class.  Take a class G' of the next level and a
-    maximum-degree vertex w of it.  G' - w is a member (membership is
-    hereditary), so an isomorphism p maps it onto its stored parent P, and
-    s = p(N(w)) passes (a): P + s is G' with w as the new vertex.  Moving s
-    to its twin-prefix form is an automorphism of P; it keeps |s|, and it
-    keeps whether s holds a vertex of degree D, since twins have equal
-    degrees, so (a) still holds and the child's class is the same.
+    Neither loses a class.  The pair is an isomorphism invariant of a vertex.
+    Take a class G' of the next level and a vertex w of it that maximizes
+    the pair.  G' - w is a member (membership is hereditary), so an
+    isomorphism p maps it onto its stored parent P, and s = p(N(w)) passes
+    (a): P + s is G' with w as the new vertex.  Moving s to its twin-prefix
+    form is an automorphism of P, and it extends to an isomorphism of the
+    two children that fixes the new vertex, so every vertex keeps its pair:
+    (a) still holds and the child's class is the same.
+
+    Rule (a) is computed for all sets at once, with no child built.  With B
+    the sets x n bit matrix, A the adjacency matrix of g, deg = A.1 and
+    nds = A.deg, the new vertex has the pair (|s|, B.(deg + 1)) and a parent
+    vertex w has (deg_w + B_w, nds_w + (B.A)_w + B_w |s|).  No child vertex
+    has a neighbour-degree sum of (n+1)**2 or more, so deg (n+1)**2 + nds
+    compares as the pair does.
 
     A set s survives when attaching a new vertex to it creates no k-sparse
     j-set through that vertex and (in R mode) no k-dense i-set through it:
@@ -201,15 +214,22 @@ def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
     where the new vertex sees every parent vertex outside s.
     """
     sets = np.array(independent_set_masks(g), dtype=np.int64)
-    degrees = [row.bit_count() for row in g.adj]
-    top_degree = max(degrees, default=0)
-    top = sum(1 << u for u, d in enumerate(degrees) if d == top_degree)
-    size = np.bitwise_count(sets)
-    keep = (size > top_degree) | ((size == top_degree) & ((sets & top) == 0))
+    # (a) needs |s| >= every degree of g; cutting smaller sets first is cheap.
+    keep = np.bitwise_count(sets) >= g.max_degree()
     for cell in twin_classes(g):
         for earlier, later in zip(cell, cell[1:]):
             keep &= (sets >> later & 1) <= (sets >> earlier & 1)
     sets = sets[keep]
+    vertices = np.arange(g.order)
+    adjacency = np.array(g.adj, dtype=np.int64)[:, None] >> vertices & 1
+    bits = sets[:, None] >> vertices & 1
+    deg = adjacency.sum(axis=1)
+    size = bits.sum(axis=1)
+    scale = (g.order + 1) ** 2
+    new_key = size * scale + bits @ (deg + 1)
+    parent_keys = ((deg + bits) * scale + adjacency @ deg + bits @ adjacency
+                   + bits * size[:, None])
+    sets = sets[new_key >= parent_keys.max(axis=1, initial=0)]
     sets = sets[~_rejected(sets, _sparse_patterns(g.adj, spec.k, spec.j - 1), spec.k)]
     if spec.i is not None:
         dense = _sparse_patterns(complement(g).adj, spec.k, spec.i - 1)

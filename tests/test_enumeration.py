@@ -26,7 +26,7 @@ from triramsey import (
     validate_graph,
     verify_membership,
 )
-from triramsey.enumeration import reject_extension_slow
+from triramsey.enumeration import reject_extension_slow, surviving_extension_sets
 from triramsey.oracle import brute_membership
 
 from .conftest import random_triangle_free, run_script
@@ -109,6 +109,21 @@ def test_attachment_rules_are_lossless(spec):
                        if not reject_extension_slow(g, spec, s)})
         level = level_step(level, spec)
         assert [key for key, _ in level.members] == keys, level.order
+
+
+@pytest.mark.parametrize("spec, max_order, total", [(ProblemSpec(k=1, j=7), 9, 3235),
+                                                     (ProblemSpec(k=2, j=7), 14, 2594),
+                                                     (ProblemSpec(k=1, j=7, i=4), 14, 635)])
+def test_attachment_set_totals(spec, max_order, total):
+    """Pins how many attachment sets the rules leave, summed over every parent
+    up to ``max_order`` (T_2(7) and R_1(4,7) die out before order 14).  A
+    weaker rule still passes the lossless tests; it fails this one."""
+    level = initial_level(spec)
+    seen = 0
+    while len(level) > 0 and level.order < max_order:
+        seen += sum(len(surviving_extension_sets(g, spec)) for g in level.graphs())
+        level = level_step(level, spec)
+    assert seen == total
 
 
 def test_level_step_r_mode_order_9(figure_9):

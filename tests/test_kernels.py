@@ -1,8 +1,9 @@
 """The forbidden-set filter and independent-set enumeration against references.
 
 Both references share no code with the fast paths: membership comes from the
-``defect`` predicates and branch-and-bound searches, degrees from the child
-graph, and twins from pairwise row equality.
+``defect`` predicates and branch-and-bound searches, degrees and
+neighbour-degree sums from the child graph's rows, and twins from pairwise
+row equality.
 """
 
 from __future__ import annotations
@@ -27,15 +28,19 @@ def test_independent_set_paths_agree(seed):
 
 
 def reference_attachment_sets(g, spec):
-    """Every independent set, kept when the new vertex has maximum degree in
-    the child and every twin pair u < w has u in the set whenever w is, and
-    when ``reject_extension_slow`` passes the child."""
+    """Every independent set, kept when the new vertex maximizes (degree,
+    neighbour-degree sum) over the vertices of the child, read from the
+    child's rows alone, when every twin pair u < w has u in the set whenever
+    w is, and when ``reject_extension_slow`` passes the child."""
     n = g.order
     twins = [(u, w) for u in range(n) for w in range(u + 1, n) if g.adj[u] == g.adj[w]]
     kept = []
     for s in independent_set_masks(g):
         child = add_vertex(g, s)
-        if child.adj[n].bit_count() < max(row.bit_count() for row in child.adj):
+        degree = [row.bit_count() for row in child.adj]
+        pairs = [(degree[v], sum(degree[u] for u in range(n + 1) if row >> u & 1))
+                 for v, row in enumerate(child.adj)]
+        if pairs[n] < max(pairs):
             continue
         if any(s >> w & 1 and not s >> u & 1 for u, w in twins):
             continue
