@@ -21,8 +21,10 @@ wins.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import DecodeError
-from .graphs import MAX_N, Graph
+from .graphs import MAX_N, Graph, graph_from_pair_bits
 
 #: Total-order canonical encoding of a graph; byte-compare gives the order.
 CanonKey = bytes
@@ -47,43 +49,75 @@ def twin_classes(g: Graph) -> list[list[int]]:
     return classes
 
 
-def _refine(qadj: list[int], partition: list[list[int]]) -> list[list[int]]:
-    """Split cells by neighbor counts into every cell until stable."""
-    while True:
-        masks = []
-        for cell in partition:
-            m = 0
-            for x in cell:
-                m |= 1 << x
-            masks.append(m)
+def _refine(qadj: list[int], partition: list[list[int]],
+            fresh: list[int] | None = None) -> list[list[int]]:
+    """Split cells by neighbor counts until stable, against fresh splitters only.
+
+    ``fresh`` lists the cell masks, in partition order, whose counts may still
+    differ inside a cell; ``None`` means every cell of ``partition``.  After a
+    round, the members of each cell agree on their counts into every cell that
+    existed when the round began, and the last piece of a split cell has the
+    count the other pieces leave over.  So the next round counts only into
+    the other pieces of the cells just split: within one cell that shorter
+    tuple orders exactly as the full one, and the cells come out as the
+    round-based refinement against every cell lists them.
+    """
+    if fresh is None:
+        fresh = [_mask(cell) for cell in partition]
+    while fresh:
         refined: list[list[int]] = []
-        changed = False
+        split: list[int] = []
         for cell in partition:
             if len(cell) == 1:
                 refined.append(cell)
                 continue
-            buckets: dict[tuple[int, ...], list[int]] = {}
+            # The count tuple packed six bits a count (counts stay below
+            # MAX_N): integers of one length order as the tuples do.
+            buckets: dict[int, list[int]] = {}
             for x in cell:
                 row = qadj[x]
-                sig = tuple((row & m).bit_count() for m in masks)
-                buckets.setdefault(sig, []).append(x)
+                sig = 0
+                for m in fresh:
+                    sig = sig << 6 | (row & m).bit_count()
+                if sig in buckets:
+                    buckets[sig].append(x)
+                else:
+                    buckets[sig] = [x]
             if len(buckets) == 1:
                 refined.append(cell)
-            else:
-                changed = True
-                for sig in sorted(buckets):
-                    refined.append(buckets[sig])
+                continue
+            pieces = [buckets[sig] for sig in sorted(buckets)]
+            refined.extend(pieces)
+            split.extend(_mask(piece) for piece in pieces[:-1])
         partition = refined
-        if not changed:
-            return partition
+        fresh = split
+    return partition
+
+
+def _mask(cell: list[int]) -> int:
+    m = 0
+    for x in cell:
+        m |= 1 << x
+    return m
 
 
 def _encode(n: int, rows: tuple[int, ...], order: list[int]) -> bytes:
+    """Key of ``rows`` relabeled so that ``order[a]`` becomes vertex a."""
+    place = [0] * n
+    for a, v in enumerate(order):
+        place[v] = 1 << (n - 1 - a)
+    # Row a contributes its bits towards the vertices placed after it.
+    later = (1 << n) - 1
     bits = 0
-    for a in range(n):
-        row = rows[order[a]]
-        for b in range(a + 1, n):
-            bits = bits << 1 | row >> order[b] & 1
+    for v in order:
+        later ^= 1 << v
+        row = rows[v] & later
+        relabeled = 0
+        while row:
+            low = row & -row
+            relabeled |= place[low.bit_length() - 1]
+            row ^= low
+        bits = bits << later.bit_count() | relabeled
     nbits = n * (n - 1) // 2
     bits <<= -nbits % 8
     return bytes([n]) + bits.to_bytes((nbits + 7) // 8, "big")
@@ -93,14 +127,24 @@ def canonical_form(g: Graph) -> CanonKey:
     """Relabeling-invariant key; equal keys <=> isomorphic graphs."""
     n = g.order
     classes = twin_classes(g)
-    reps = [cell[0] for cell in classes]
-    qadj = []
-    for r in reps:
-        row = 0
-        for b, rb in enumerate(reps):
-            if g.adj[r] >> rb & 1:
-                row |= 1 << b
-        qadj.append(row)
+    if len(classes) == n:
+        qadj = list(g.adj)
+    else:
+        # Twins share their row, so a class is adjacent to r iff its
+        # representative is.
+        index = {cell[0]: c for c, cell in enumerate(classes)}
+        rep_mask = 0
+        for r in index:
+            rep_mask |= 1 << r
+        qadj = []
+        for cell in classes:
+            row = g.adj[cell[0]] & rep_mask
+            qrow = 0
+            while row:
+                low = row & -row
+                qrow |= 1 << index[low.bit_length() - 1]
+                row ^= low
+            qadj.append(qrow)
 
     sizes = sorted({len(cell) for cell in classes})
     partition = [[c for c in range(len(classes)) if len(classes[c]) == s] for s in sizes]
@@ -125,7 +169,8 @@ def canonical_form(g: Graph) -> CanonKey:
         for x in cell:
             rest = [y for y in cell if y != x]
             trial = part[:target] + [[x], rest] + part[target + 1:]
-            search(_refine(qadj, trial))
+            # ``part`` is equitable, so only the new singleton can split a cell.
+            search(_refine(qadj, trial, [1 << x]))
 
     search(_refine(qadj, partition))
     return best_key
@@ -156,13 +201,10 @@ def decode_key(key: CanonKey) -> Graph:
     pad = -nbits % 8
     if bits & ((1 << pad) - 1):
         raise DecodeError("nonzero trailing padding bits", offset=len(key) - 1)
-    bits >>= pad
-    rows = [0] * n
-    position = nbits - 1
-    for a in range(n):
-        for b in range(a + 1, n):
-            if bits >> position & 1:
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
-            position -= 1
-    return Graph(n, tuple(rows))
+    return graph_from_pair_bits(n, bits >> pad, _key_pairs(n))
+
+
+@lru_cache(maxsize=None)
+def _key_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pair of each unpadded key bit, least significant first."""
+    return tuple(reversed([(a, b) for a in range(n) for b in range(a + 1, n)]))

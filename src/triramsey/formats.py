@@ -15,34 +15,36 @@ from __future__ import annotations
 
 import hashlib
 import os
+from functools import lru_cache
 from pathlib import Path
 
 from .canon import canonical_graph
 from .enumeration import LevelSet, ProblemSpec
 from .errors import CapacityError, DecodeError, IntegrityError, SpecConflictError
-from .graphs import MAX_N, Graph
+from .graphs import MAX_N, Graph, graph_from_pair_bits
 
 _LEVEL_MAGIC = "tfree-level 1"
 _REPORT_MAGIC = "run-report 1"
 
 
 def graph6_encode(g: Graph) -> str:
-    if g.order > 62:
+    n = g.order
+    if n > 62:
         raise CapacityError("single-byte graph6 size form supports order <= 62")
-    out = [chr(g.order + 63)]
-    acc = 0
-    nbits = 0
-    for v in range(1, g.order):
-        for u in range(v):
-            acc = acc << 1 | (g.adj[u] >> v & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << 6 - nbits) + 63))
-    return "".join(out)
+    need = (n * (n - 1) // 2 + 5) // 6
+    # x(u, v) for u < v sits at sequence index v(v-1)/2 + u, counted from the
+    # most significant of the need*6 data bits.
+    top = need * 6 - 1
+    bits = 0
+    for v in range(1, n):
+        row = g.adj[v] & ((1 << v) - 1)
+        base = top - v * (v - 1) // 2
+        while row:
+            low = row & -row
+            bits |= 1 << base - (low.bit_length() - 1)
+            row ^= low
+    return chr(n + 63) + "".join([chr((bits >> shift & 63) + 63)
+                                  for shift in range(need * 6 - 6, -1, -6)])
 
 
 def graph6_decode(line: str) -> Graph:
@@ -51,9 +53,10 @@ def graph6_decode(line: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise DecodeError("empty graph6 line", offset=0)
-    for idx, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise DecodeError(f"character {ch!r} outside graph6 range 63..126", offset=idx)
+    if not (s.isascii() and "?" <= min(s) and max(s) <= "~"):
+        for idx, ch in enumerate(s):
+            if not 63 <= ord(ch) <= 126:
+                raise DecodeError(f"character {ch!r} outside graph6 range 63..126", offset=idx)
     if ord(s[0]) == 126:
         raise DecodeError("multi-byte size form is not supported", offset=0)
     n = ord(s[0]) - 63
@@ -73,16 +76,13 @@ def graph6_decode(line: str) -> Graph:
     pad = need * 6 - nbits
     if bits & ((1 << pad) - 1):
         raise DecodeError("nonzero trailing padding bits", offset=len(s) - 1)
-    bits >>= pad
-    rows = [0] * n
-    position = nbits - 1
-    for v in range(1, n):
-        for u in range(v):
-            if bits >> position & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            position -= 1
-    return Graph(n, tuple(rows))
+    return graph_from_pair_bits(n, bits >> pad, _graph6_pairs(n))
+
+
+@lru_cache(maxsize=None)
+def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pair of each unpadded graph6 bit, least significant first."""
+    return tuple(reversed([(u, v) for v in range(1, n) for u in range(v)]))
 
 
 def _spec_fields(spec: ProblemSpec) -> list[str]:

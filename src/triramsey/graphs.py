@@ -10,7 +10,7 @@ every operation returns a new ``Graph``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, ConstructionError
 
@@ -108,6 +108,22 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ConstructionError(f"edge ({u}, {v}) has endpoint outside 0..{order - 1}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
+    return Graph(order, tuple(rows))
+
+
+def graph_from_pair_bits(order: int, bits: int, pairs: Sequence[tuple[int, int]]) -> Graph:
+    """The graph with edge ``pairs[p]`` for every set bit p of ``bits``.
+
+    Decoders of packed adjacency bits use this with a per-order table, so
+    they walk the edges instead of every vertex pair.
+    """
+    rows = [0] * order
+    while bits:
+        low = bits & -bits
+        u, v = pairs[low.bit_length() - 1]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        bits ^= low
     return Graph(order, tuple(rows))
 
 

@@ -324,7 +324,7 @@ def test_blank_cell_caps_cleanly(tmp_path):
     announce("capped checkpoint on an out-of-reach cell", ok)
 
 
-# -- criterion 9: stretch reproductions (not CI-gated) -----------------------
+# -- criterion 9: stretch reproductions (CI jobs stretch-t17, stretch-r4911) -
 
 T_1_7_LEVEL_11 = Path(__file__).resolve().parents[1] / "perfbench/fixtures/t1_7-level-11.lvl"
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -11,6 +12,7 @@ from triramsey import (
     MAX_N,
     DecodeError,
     Graph,
+    add_vertex,
     are_isomorphic,
     blow_up,
     build_graph,
@@ -23,10 +25,10 @@ from triramsey import (
     permute,
     validate_graph,
 )
-from triramsey.canon import _encode
+from triramsey.canon import _encode, _refine
 from triramsey.oracle import brute_isomorphic, count_graph_classes
 
-from .conftest import petersen, random_graph, random_permutation
+from .conftest import petersen, random_graph, random_permutation, random_triangle_free
 
 
 def all_labeled_graphs(n: int):
@@ -191,3 +193,95 @@ def test_decode_key_rejects_malformed_keys():
         decode_key(bytes([MAX_N + 1]) + bytes((MAX_N + 1) * MAX_N // 16))
     with pytest.raises(DecodeError, match="length"):
         decode_key(bytes([4, 0, 0]))  # order 4 needs one byte for its 6 bits
+
+
+def test_decode_key_inverts_the_identity_encoding():
+    rng = random.Random(15)
+    for n in range(MAX_N + 1):
+        g = random_graph(rng, n, p=rng.choice([0.1, 0.5, 0.9]))
+        assert decode_key(_encode(n, g.adj, list(range(n)))) == g
+
+
+def round_based_refine(qadj: list[int], partition: list[list[int]]) -> list[list[int]]:
+    """Frozen reference: split every cell by its neighbor counts into every
+    cell, round after round, until a round splits nothing."""
+    while True:
+        masks = []
+        for cell in partition:
+            m = 0
+            for x in cell:
+                m |= 1 << x
+            masks.append(m)
+        refined: list[list[int]] = []
+        changed = False
+        for cell in partition:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            buckets: dict[tuple[int, ...], list[int]] = {}
+            for x in cell:
+                row = qadj[x]
+                sig = tuple((row & m).bit_count() for m in masks)
+                buckets.setdefault(sig, []).append(x)
+            if len(buckets) == 1:
+                refined.append(cell)
+            else:
+                changed = True
+                for sig in sorted(buckets):
+                    refined.append(buckets[sig])
+        partition = refined
+        if not changed:
+            return partition
+
+
+def random_ordered_partition(rng: random.Random, n: int) -> list[list[int]]:
+    vertices = random_permutation(rng, n)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 4)))) if n > 1 else []
+    return [vertices[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def test_refine_matches_round_based_reference():
+    # The cell order decides which leaves the search visits, so it must match
+    # exactly, at the root and after every individualization.
+    rng = random.Random(16)
+    for trial in range(600):
+        n = 1 + trial % 16
+        if trial % 3 == 0:
+            g = random_triangle_free(rng, n, tries=rng.randint(n, 2 * n * n))
+        else:
+            g = random_graph(rng, n, p=rng.choice([0.15, 0.3, 0.5, 0.7]))
+        qadj = list(g.adj)
+        partition = random_ordered_partition(rng, n)
+        equitable = round_based_refine(qadj, partition)
+        assert _refine(qadj, partition) == equitable
+        target = next((ci for ci, cell in enumerate(equitable) if len(cell) > 1), None)
+        if target is None:
+            continue
+        cell = equitable[target]
+        for x in cell:
+            individualized = (equitable[:target] + [[x], [y for y in cell if y != x]]
+                              + equitable[target + 1:])
+            assert (_refine(qadj, individualized, [1 << x])
+                    == round_based_refine(qadj, individualized))
+
+
+def golden_corpus() -> list[Graph]:
+    """Seeded random triangle-free graphs of order 0-15, every second one with
+    an added twin, plus five named graphs."""
+    rng = random.Random(20240603)
+    graphs = []
+    for n in range(16):
+        for t in range(64):
+            g = random_triangle_free(rng, n, tries=rng.randint(n, 2 * n * n))
+            if t % 2 and n:
+                g = add_vertex(g, g.adj[rng.randrange(n)])
+            graphs.append(g)
+    return graphs + [petersen(), MCGEE, FRUCHT, blow_up(cycle(5), 3), complete_bipartite(4, 7)]
+
+
+def test_golden_key_digest():
+    # Pins the keys themselves, not only their equivalence relation: level
+    # files and their digests are written in key order.
+    digest = hashlib.sha256(b"".join(canonical_form(g) for g in golden_corpus()))
+    assert digest.hexdigest() == (
+        "5f3081bcfb60fb9e6761aa3db0ad591bd2bb88f2fd39a3512ca7c8101db0f9d9")

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 
 from triramsey import (
     CapacityError,
     DecodeError,
+    MAX_N,
     IntegrityError,
     ProblemSpec,
     are_isomorphic,
@@ -79,6 +81,19 @@ def test_graph6_round_trip_random():
     for _ in range(500):
         g = random_graph(rng, rng.randint(0, 20), p=rng.choice([0.1, 0.5, 0.9]))
         assert graph6_decode(graph6_encode(g)) == g
+
+
+def test_graph6_matches_networkx():
+    # networkx's writer shares no code with ours.
+    rng = random.Random(31)
+    for n in range(MAX_N + 1):
+        g = random_graph(rng, n, p=rng.choice([0.1, 0.5, 0.9]))
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(g.edges())
+        line = nx.to_graph6_bytes(reference, header=False).decode("ascii").strip()
+        assert graph6_encode(g) == line
+        assert graph6_decode(line) == g
 
 
 def test_level_file_round_trip(tmp_path):
