@@ -183,17 +183,13 @@ _COMMANDS = {
 }
 
 
-def run_cli(argv=None) -> int:
+def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (TriramseyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def main(argv=None) -> int:
-    return run_cli(argv)
 
 
 if __name__ == "__main__":

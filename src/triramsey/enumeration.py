@@ -18,15 +18,16 @@ its key alone, and each class is decoded once from it.
 
 The forbidden-set test runs once per parent over all its remaining
 attachment sets at once: a table of the parent's k-sparse (j-1)-sets, each
-with its members whose internal degree is already k, decides every
-attachment set through a numpy broadcast.  Masks cover the parent's
-vertices only (< 2**MAX_N), so int64 arithmetic never overflows.
+with its members whose internal degree is already k, is built in one numpy
+broadcast and decides every attachment set through a second one.  Masks
+cover the parent's vertices only (< 2**MAX_N), so int64 arithmetic never
+overflows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -142,33 +143,26 @@ def _subset_masks(n: int, size: int) -> np.ndarray:
     return masks
 
 
-def _sparse_patterns(rows: tuple[int, ...], k: int, size: int):
-    """(T, A_T) arrays over the k-sparse ``size``-sets T of the graph ``rows``.
+def _completes(attach: np.ndarray, rows: tuple[int, ...], k: int, size: int) -> np.ndarray:
+    """True where a new vertex attached to ``attach`` completes a k-sparse
+    (size+1)-set through it in the graph with adjacency ``rows``.
 
-    A_T holds the members of T whose degree inside T is already k.
+    The table holds every k-sparse ``size``-set T with A_T, its members whose
+    degree inside T is already k, built in one (subsets x vertices) broadcast.
+    Attaching to s turns T into the k-sparse set {v} + T exactly when s misses
+    A_T (no member of T goes past degree k) and |s & T| <= k (the new vertex
+    itself stays within degree k).
     """
-    subs = _subset_masks(len(rows), size)
-    keep = np.ones(len(subs), dtype=bool)
-    saturated = np.zeros(len(subs), dtype=np.int64)
-    for u, row in enumerate(rows):
-        member = (subs & (1 << u)) != 0
-        deg = np.bitwise_count(subs & row)
-        keep &= ~member | (deg <= k)
-        saturated[member & (deg == k)] |= 1 << u
-    return subs[keep], saturated[keep]
-
-
-def _rejected(attach: np.ndarray, patterns, k: int) -> np.ndarray:
-    """True where the new vertex, attached to ``attach``, completes a pattern.
-
-    Attaching to s turns T into the k-sparse set {v} + T exactly when s
-    misses A_T (no member of T goes past degree k) and |s & T| <= k (the
-    new vertex itself stays within degree k).
-    """
-    subsets, saturated = patterns
     dead = np.zeros(len(attach), dtype=bool)
     if not len(attach):
         return dead
+    subsets = _subset_masks(len(rows), size)
+    bits = 1 << np.arange(len(rows), dtype=np.int64)
+    member = (subsets[:, None] & bits) != 0
+    degree = np.bitwise_count(subsets[:, None] & np.array(rows, dtype=np.int64))
+    keep = ~(member & (degree > k)).any(axis=1)
+    saturated = np.where(member[keep] & (degree[keep] == k), bits, 0).sum(axis=1)
+    subsets = subsets[keep]
     col = attach[:, None]
     step = max(1, _BROADCAST_ELEMENTS // len(attach))
     for lo in range(0, len(subsets), step):
@@ -230,10 +224,9 @@ def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
     parent_keys = ((deg + bits) * scale + adjacency @ deg + bits @ adjacency
                    + bits * size[:, None])
     sets = sets[new_key >= parent_keys.max(axis=1, initial=0)]
-    sets = sets[~_rejected(sets, _sparse_patterns(g.adj, spec.k, spec.j - 1), spec.k)]
+    sets = sets[~_completes(sets, g.adj, spec.k, spec.j - 1)]
     if spec.i is not None:
-        dense = _sparse_patterns(complement(g).adj, spec.k, spec.i - 1)
-        sets = sets[~_rejected(g.full_mask() ^ sets, dense, spec.k)]
+        sets = sets[~_completes(g.full_mask() ^ sets, complement(g).adj, spec.k, spec.i - 1)]
     return sets.tolist()
 
 
@@ -263,12 +256,9 @@ def reject_extension_slow(g: Graph, spec: ProblemSpec, s: VertexSet) -> bool:
     return False
 
 
-def _extend_entries(args) -> list[CanonKey]:
-    """Worker task: the canonical keys of all surviving children."""
-    adj, order, k, j, i = args
-    parent = Graph(order, adj)
-    return [canonical_form(add_vertex(parent, s))
-            for s in surviving_extension_sets(parent, ProblemSpec(k=k, j=j, i=i))]
+def _extend_entries(spec: ProblemSpec, adj: tuple[int, ...]) -> list[CanonKey]:
+    """Worker task: the canonical keys of the surviving children of the parent ``adj``."""
+    return [canonical_form(c) for c in extend_graph(Graph(len(adj), adj), spec)]
 
 
 def level_at(spec: ProblemSpec, order: int) -> LevelSet:
@@ -294,9 +284,8 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
     from its key, in key order, at the end.
     """
     next_order = level.order + 1
-    tasks = [(g.adj, g.order, spec.k, spec.j, spec.i) for _, g in level.members]
     merged: set[CanonKey] = set()
-    for keys in mapper(_extend_entries, tasks):
+    for keys in mapper(partial(_extend_entries, spec), [g.adj for _, g in level.members]):
         merged.update(keys)
         if max_cardinality is not None and len(merged) > max_cardinality:
             raise LevelCardinalityExceeded(next_order, max_cardinality)

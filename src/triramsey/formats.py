@@ -146,6 +146,8 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     i = None if lines[2] == "i -" else _parse_header_int(lines, 2, "i")
     j = _parse_header_int(lines, 3, "j")
     order = _parse_header_int(lines, 4, "order")
+    if not 1 <= order <= MAX_N:
+        raise IntegrityError(f"level file line 5: order {order} outside 1..{MAX_N}")
     count = _parse_header_int(lines, 5, "count")
     if lines[6] != "begin":
         raise IntegrityError("level file line 7: missing 'begin' marker")

@@ -125,22 +125,29 @@ def _networkx(g) -> nx.Graph:
     return h
 
 
+def isomorphic_pair(graphs) -> bool:
+    """True when two of ``graphs`` are isomorphic.
+
+    Beyond the oracle's order 9: bucket by Weisfeiler-Lehman hash, then VF2
+    within each bucket; networkx shares no code with the canonical labeling.
+    """
+    buckets = defaultdict(list)
+    with warnings.catch_warnings():
+        # networkx >= 3.5 warns that its hashes changed in that release.
+        warnings.filterwarnings("ignore", "The hashes produced", UserWarning)
+        for g in graphs:
+            h = _networkx(g)
+            buckets[nx.weisfeiler_lehman_graph_hash(h, iterations=3)].append(h)
+    return any(nx.is_isomorphic(a, b)
+               for bucket in buckets.values()
+               for x, a in enumerate(bucket) for b in bucket[x + 1:])
+
+
 @pytest.mark.moderate
 def test_criterion_2_extremals_pairwise_non_isomorphic():
-    # Beyond the oracle's order 9: bucket by Weisfeiler-Lehman hash, then VF2
-    # within each bucket; networkx shares no code with the canonical labeling.
     ok = True
     for k, j in [(2, 7), (5, 10), (1, 6)]:
-        buckets = defaultdict(list)
-        with warnings.catch_warnings():
-            # networkx >= 3.5 warns that its hashes changed in that release.
-            warnings.filterwarnings("ignore", "The hashes produced", UserWarning)
-            for g in run_spec(k, j).extremals:
-                h = _networkx(g)
-                buckets[nx.weisfeiler_lehman_graph_hash(h, iterations=3)].append(h)
-        clash = any(nx.is_isomorphic(a, b)
-                    for bucket in buckets.values()
-                    for x, a in enumerate(bucket) for b in bucket[x + 1:])
+        clash = isomorphic_pair(run_spec(k, j).extremals)
         if clash:
             print(f"  T_{k}({j}): two extremals are isomorphic")
         ok = ok and not clash
@@ -355,7 +362,9 @@ def test_stretch_r_4_9_11():
     report = run_spec(4, 11, 9)
     ok = (report.value, report.extremal_count) == (18, 255)
     ok = ok and all(report.per_level_counts[o] == c for o, c in R_4_9_11_COUNTS.items())
-    announce("9b stretch R_4(9,11)=18 with orders 11-18 pinned", ok)
+    ok = ok and not isomorphic_pair(report.extremals)
+    announce("9b stretch R_4(9,11)=18 with orders 11-18 pinned, extremals "
+             "pairwise non-isomorphic (VF2)", ok)
 
 
 # -- known lower-bound constructions -----------------------------------------

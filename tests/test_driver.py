@@ -206,10 +206,10 @@ KILL_A_WORKER_IN_RUN = textwrap.dedent("""
 
     extend = enumeration._extend_entries
 
-    def dying(task):
-        if task[1] == 6:  # a parent of order 6
+    def dying(spec, adj):
+        if len(adj) == 6:  # a parent of order 6
             os._exit(1)
-        return extend(task)
+        return extend(spec, adj)
 
     enumeration._extend_entries = dying
 

@@ -181,10 +181,10 @@ KILL_ONE_WORKER = textwrap.dedent("""
 
     extend = enumeration._extend_entries
 
-    def dying(task):
-        if repr(task[0]) == os.environ.get("DIE_ON"):
+    def dying(spec, adj):
+        if repr(adj) == os.environ.get("DIE_ON"):
             os._exit(1)
-        return extend(task)
+        return extend(spec, adj)
 
     enumeration._extend_entries = dying
 

@@ -163,6 +163,19 @@ def test_wrong_order_member_detected(tmp_path):
         read_level(target)
 
 
+@pytest.mark.parametrize("order", [0, -2, MAX_N + 1])
+def test_order_out_of_range_detected(tmp_path, order):
+    # an empty level with a consistent digest but an impossible order
+    from triramsey.formats import _body_digest
+
+    target = tmp_path / "level.lvl"
+    lines = ["tfree-level 1", "k 1", "i -", "j 3", f"order {order}", "count 0", "begin",
+             f"digest sha256 {_body_digest([])}"]
+    target.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IntegrityError, match="order"):
+        read_level(target)
+
+
 def test_repeated_member_detected(tmp_path):
     # a consistent file (count and digest recomputed) that lists one class twice
     from triramsey.formats import _body_digest
