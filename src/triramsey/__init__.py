@@ -28,6 +28,7 @@ from .enumeration import (
     ProblemSpec,
     extend_graph,
     find_forbidden_set,
+    first_nonmember,
     initial_level,
     level_at,
     level_step,

@@ -21,9 +21,10 @@ from .enumeration import (
     LevelCardinalityExceeded,
     LevelSet,
     ProblemSpec,
+    first_nonmember,
     initial_level,
     level_step,
-    verify_membership,
+    verify_membership,  # noqa: F401  (perfbench/tracing.py swaps this name for a timed wrapper)
 )
 from .errors import ConstructionError, IntegrityError
 from .formats import check_spec_match, level_filename, read_level, write_level
@@ -125,10 +126,10 @@ def _read_verified(path: Path, spec: ProblemSpec) -> LevelSet:
     """Read a level file written for ``spec`` and re-check every member."""
     level, file_spec = read_level(path)
     check_spec_match(file_spec, spec, path)
-    for index, (_, g) in enumerate(level.members):
-        if not verify_membership(g, spec):
-            raise IntegrityError(f"{path}: member {index} fails membership for "
-                                 f"k={spec.k} i={spec.i} j={spec.j}")
+    index = first_nonmember((g for _, g in level.members), spec)
+    if index is not None:
+        raise IntegrityError(f"{path}: member {index} fails membership for "
+                             f"k={spec.k} i={spec.i} j={spec.j}")
     return level
 
 
@@ -136,8 +137,9 @@ def checkpoint_resume(spec: ProblemSpec, checkpoint: str | Path,
                       limits: RunLimits | None = None) -> RunReport:
     """Continue a run from a persisted level, after re-validating it fully.
 
-    Every member is re-checked with the unrestricted membership test, and so
-    is every member of the sibling file an empty level reports as extremal;
+    Every member is re-checked with the unrestricted membership test (the
+    batched ``first_nonmember``), and so is every member of the sibling file
+    an empty level reports as extremal;
     a corrupted file would silently invalidate the result otherwise.
     """
     limits = limits or RunLimits()

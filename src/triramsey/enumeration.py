@@ -22,13 +22,18 @@ with its members whose internal degree is already k, is built in one numpy
 broadcast and decides every attachment set through a second one.  Masks
 cover the parent's vertices only (< 2**MAX_N), so int64 arithmetic never
 overflows.
+
+A resumed level is re-checked in full by ``first_nonmember``, which decides
+many graphs of one order at a time over uint32 adjacency rows, with the same
+per-order subset table and bounded temporaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations, count, islice
+from typing import Iterable
 
 import numpy as np
 
@@ -51,7 +56,8 @@ from .graphs import (
 )
 
 #: Upper bound on the elements of one (attachment sets x patterns) broadcast
-#: in the forbidden-set filter; the pattern axis is chunked to respect it.
+#: in the forbidden-set filter, and of every temporary of ``first_nonmember``;
+#: the pattern, graph and subset axes are chunked to respect it.
 _BROADCAST_ELEMENTS = 1 << 16
 
 
@@ -108,7 +114,8 @@ class LevelCardinalityExceeded(Exception):
 def verify_membership(g: Graph, spec: ProblemSpec) -> bool:
     """Full unrestricted check that g belongs to the level of its order.
 
-    Used to validate external inputs and resumed checkpoints; the search
+    Used to validate external inputs; resumed checkpoints go through the
+    batched ``first_nonmember``, which tests pin to this check.  The search
     itself only ever tests sets through the newly added vertex.
     """
     return find_forbidden_set(g, spec) is None
@@ -135,12 +142,15 @@ def initial_level(spec: ProblemSpec) -> LevelSet:
 
 
 @lru_cache(maxsize=64)
-def _subset_masks(n: int, size: int) -> np.ndarray:
-    """Every ``size``-subset of range(n) as an int64 mask (read-only, shared)."""
-    masks = np.array([sum(1 << u for u in c) for c in combinations(range(n), size)],
-                     dtype=np.int64)
-    masks.flags.writeable = False
-    return masks
+def _subset_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``size``-subset of range(n), in ``combinations`` order: its member
+    indices (size x subsets, one column per subset; uint8 keeps the cached
+    table small) and its int64 mask (read-only, shared)."""
+    combos = list(combinations(range(n), size))
+    members = np.array(list(zip(*combos)), dtype=np.uint8).reshape(size, len(combos))
+    masks = np.array([sum(1 << u for u in c) for c in combos], dtype=np.int64)
+    members.flags.writeable = masks.flags.writeable = False
+    return members, masks
 
 
 def _completes(attach: np.ndarray, rows: tuple[int, ...], k: int, size: int) -> np.ndarray:
@@ -156,7 +166,7 @@ def _completes(attach: np.ndarray, rows: tuple[int, ...], k: int, size: int) -> 
     dead = np.zeros(len(attach), dtype=bool)
     if not len(attach):
         return dead
-    subsets = _subset_masks(len(rows), size)
+    subsets = _subset_table(len(rows), size)[1]
     bits = 1 << np.arange(len(rows), dtype=np.int64)
     member = (subsets[:, None] & bits) != 0
     degree = np.bitwise_count(subsets[:, None] & np.array(rows, dtype=np.int64))
@@ -170,6 +180,68 @@ def _completes(attach: np.ndarray, rows: tuple[int, ...], k: int, size: int) -> 
             np.bitwise_count(col & subsets[lo:lo + step]) <= k)
         dead |= hit.any(axis=1)
     return dead
+
+
+def _has_sparse_set(rows: np.ndarray, k: int, size: int) -> np.ndarray:
+    """True for each graph (a row of uint32 adjacency rows) with a k-sparse
+    ``size``-set: a subset none of whose members has more than k neighbours
+    inside it.
+
+    Subsets are decided one member position at a time, gathering that
+    member's row for every subset, so each temporary is (graphs x subsets)
+    and stays within ``_BROADCAST_ELEMENTS``: as many graphs as fit, or a
+    single graph over chunks of the subset axis once C(n, size) alone passes
+    the bound.
+    """
+    members, masks = _subset_table(rows.shape[1], size)
+    masks = masks.astype(np.uint32)
+    found = np.zeros(len(rows), dtype=bool)
+    graphs = max(1, _BROADCAST_ELEMENTS // max(1, len(masks)))
+    for at in range(0, len(rows), graphs):
+        chunk = rows[at:at + graphs]
+        for lo in range(0, len(masks), _BROADCAST_ELEMENTS):
+            subsets = masks[lo:lo + _BROADCAST_ELEMENTS]
+            sparse = np.ones((len(chunk), len(subsets)), dtype=bool)
+            for position in members[:, lo:lo + _BROADCAST_ELEMENTS]:
+                rows_in = np.take(chunk, position, axis=1)
+                rows_in &= subsets
+                sparse &= np.bitwise_count(rows_in) <= k
+            found[at:at + graphs] |= sparse.any(axis=1)
+    return found
+
+
+def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
+    """Index of the first of ``graphs``, all of one order, that fails
+    membership, or None when every one passes.
+
+    The verdicts are ``verify_membership``'s, reached without witnesses in
+    numpy passes over chunks of graphs, each temporary within
+    ``_BROADCAST_ELEMENTS`` elements: a triangle is an edge u~w whose rows
+    share a bit, a k-sparse j-set is a j-subset whose members all have at
+    most k neighbours in it, and a k-dense i-set is the same in the
+    complement rows.
+    """
+    graphs = iter(graphs)
+    first = next(graphs, None)
+    if first is None:
+        return None
+    n = first.order
+    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    others = np.uint32((1 << n) - 1) ^ bits
+    step = max(1, _BROADCAST_ELEMENTS // max(1, n * n))
+    graphs = chain([first], graphs)
+    for lo in count(0, step):
+        chunk = list(islice(graphs, step))
+        if not chunk:
+            return None
+        rows = np.array([g.adj for g in chunk], dtype=np.uint32).reshape(len(chunk), n)
+        cols = rows[:, :, None]
+        bad = (((cols & bits) != 0) & ((cols & rows[:, None, :]) != 0)).any(axis=(1, 2))
+        bad |= _has_sparse_set(rows, spec.k, spec.j)
+        if spec.i is not None:
+            bad |= _has_sparse_set(others & ~rows, spec.k, spec.i)
+        if bad.any():
+            return lo + int(bad.argmax())
 
 
 def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:

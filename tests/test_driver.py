@@ -20,7 +20,9 @@ from triramsey import (
     complete_bipartite,
     cycle,
     driver,
+    find_forbidden_set,
     graph6_encode,
+    level_at,
     probe_conjecture,
     write_level,
 )
@@ -140,6 +142,25 @@ def test_resume_rejects_invalid_member(tmp_path):
     target = tmp_path / level_filename(5)
     write_level(level, spec, target)
     with pytest.raises(IntegrityError, match="member 0"):
+        checkpoint_resume(spec, target)
+
+
+@pytest.mark.parametrize("spec, bad, kind", [
+    (ProblemSpec(k=1, j=4), build_graph(5, [(0, 1)]), "sparse"),
+    (ProblemSpec(k=1, j=5, i=4), build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]),
+     "dense"),
+])
+def test_resume_rejects_member_with_forbidden_set(tmp_path, spec, bad, kind):
+    """A digest-valid level whose one bad member, not the first, is
+    triangle-free and fails only by a k-sparse j-set (T mode) or a k-dense
+    i-set (R mode)."""
+    assert find_forbidden_set(bad, spec)[0] == kind
+    members = sorted(level_at(spec, bad.order).members + (canonical_graph(bad),))
+    index = members.index(canonical_graph(bad))
+    assert index >= 1
+    target = tmp_path / level_filename(bad.order)
+    write_level(LevelSet(bad.order, tuple(members)), spec, target)
+    with pytest.raises(IntegrityError, match=f"member {index} fails membership"):
         checkpoint_resume(spec, target)
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import textwrap
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 
@@ -13,11 +13,13 @@ from triramsey import (
     ProblemSpec,
     add_vertex,
     are_isomorphic,
+    build_graph,
     canonical_form,
     cycle,
     decode_key,
     extend_graph,
     find_forbidden_set,
+    first_nonmember,
     independent_set_masks,
     initial_level,
     level_at,
@@ -26,10 +28,16 @@ from triramsey import (
     validate_graph,
     verify_membership,
 )
+from triramsey import enumeration
 from triramsey.enumeration import reject_extension_slow, surviving_extension_sets
-from triramsey.oracle import brute_membership
+from triramsey.oracle import (
+    brute_has_k_dense_set,
+    brute_has_k_sparse_set,
+    brute_has_triangle,
+    brute_membership,
+)
 
-from .conftest import random_triangle_free, run_script
+from .conftest import random_graph, random_triangle_free, run_script
 
 
 def test_problem_spec_validation():
@@ -52,8 +60,6 @@ def test_verify_membership_examples():
 
 
 def test_find_forbidden_set_kinds():
-    from triramsey import build_graph
-
     spec = ProblemSpec(k=1, j=4, i=4)
     kind, mask = find_forbidden_set(build_graph(3, [(0, 1), (1, 2), (0, 2)]), spec)
     assert kind == "triangle" and mask.bit_count() == 3
@@ -228,3 +234,69 @@ def test_membership_independent_of_kernels():
     for _ in range(30):
         g = random_triangle_free(rng, rng.randint(1, 8))
         assert verify_membership(g, spec) == brute_membership(g, 1, 4, 4)
+
+
+@lru_cache(maxsize=None)
+def _member_pool(order: int) -> tuple:
+    """Members of several small levels at ``order``: graphs right at the edge
+    of membership for specs near the ones they were grown for."""
+    specs = [ProblemSpec(k=0, j=4), ProblemSpec(k=1, j=5), ProblemSpec(k=1, j=6, i=4),
+             ProblemSpec(k=2, j=6), ProblemSpec(k=2, j=7, i=5), ProblemSpec(k=3, j=7)]
+    return tuple(g for spec in specs for g in level_at(spec, order).graphs())
+
+
+def _nonmembers(graphs, spec) -> list[int]:
+    """Every index ``first_nonmember`` reports, restarting after each one."""
+    found, start = [], 0
+    while (index := first_nonmember(graphs[start:], spec)) is not None:
+        found.append(start + index)
+        start += index + 1
+    return found
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_first_nonmember_matches_both_references(seed, monkeypatch):
+    """The batched check agrees with ``find_forbidden_set`` and with the
+    brute-force oracle on every graph: seeded random graphs of orders 1-12 at
+    several densities, with and without triangles, plus level members; k 0-3,
+    j 2..k+5 and R specs with i 2..k+4, j and i beyond the order included.
+    Odd seeds shrink the broadcast bound, so graphs and subsets are taken
+    in many chunks."""
+    rng = random.Random(seed)
+    if seed % 2:
+        monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", rng.choice([1, 5, 40, 300]))
+    for n in range(1, 13):
+        graphs = [random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.8])) for _ in range(3)]
+        graphs += [random_triangle_free(rng, n, rng.randint(0, 3 * n * n)) for _ in range(4)]
+        pool = _member_pool(n)
+        graphs += rng.sample(pool, min(5, len(pool)))
+        rng.shuffle(graphs)
+        for _ in range(6):
+            k = rng.randint(0, 3)
+            j = rng.randint(2, k + 5)
+            spec = ProblemSpec(k=k, j=j, i=rng.choice([None, rng.randint(2, k + 4)]))
+            searched = [i for i, g in enumerate(graphs) if find_forbidden_set(g, spec) is not None]
+            brute = [i for i, g in enumerate(graphs)
+                     if not brute_membership(g, spec.k, spec.j, spec.i)]
+            assert searched == brute, (n, spec)
+            assert _nonmembers(graphs, spec) == searched, (n, spec)
+
+
+def test_first_nonmember_returns_the_lowest_bad_index():
+    spec = ProblemSpec(k=1, j=4, i=4)
+    c5 = cycle(5)
+    # Each of these fails membership one way only.
+    triangle = build_graph(5, [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)])
+    sparse = build_graph(5, [(0, 1)])                         # {1, 2, 3, 4} is 1-sparse
+    dense = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C4 plus an isolated vertex
+    for g, kind in ((triangle, "triangle"), (sparse, "sparse"), (dense, "dense")):
+        assert brute_has_triangle(g) == (kind == "triangle")
+        assert brute_has_k_sparse_set(g, 1, 4) == (kind == "sparse")
+        assert brute_has_k_dense_set(g, 1, 4) == (kind == "dense")
+    assert first_nonmember([], spec) is None
+    assert first_nonmember([c5] * 3, spec) is None
+    for bad in (triangle, sparse, dense):
+        assert first_nonmember([c5, c5, bad, c5, triangle, sparse, dense], spec) == 2
+    assert first_nonmember([dense, sparse, triangle], spec) == 0
+    assert first_nonmember(iter([c5, c5, c5, sparse]), spec) == 3
+    assert first_nonmember([c5, dense], ProblemSpec(k=1, j=4)) is None
