@@ -17,7 +17,7 @@ from .driver import CAPPED, RunLimits, checkpoint_resume, compute_number, probe_
 from .enumeration import ProblemSpec, find_forbidden_set, level_at
 from .errors import TriramseyError
 from .formats import graph6_decode, graph6_encode, render_report
-from .graphs import MAX_N, build_graph, set_members
+from .graphs import build_graph, set_members
 from .oracle import brute_membership, enumerate_all_triangle_free, matches_up_to_isomorphism
 
 EXIT_OK = 0
@@ -41,9 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="run the full search and print the number")
     add_spec_arguments(p)
-    p.add_argument("--max-order", type=int, default=MAX_N)
+    p.add_argument("--max-order", type=int, default=RunLimits.max_order)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--max-level-cardinality", type=int, default=5_000_000)
+    p.add_argument("--max-level-cardinality", type=int,
+                   default=RunLimits.max_level_cardinality)
     p.add_argument("--checkpoint", type=Path, default=None,
                    help="directory receiving one level file per completed level")
     p.add_argument("--resume", type=Path, default=None,
@@ -187,7 +188,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TriramseyError, ValueError) as exc:
+    except (TriramseyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

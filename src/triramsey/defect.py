@@ -54,16 +54,6 @@ def is_k_dense_set(g: Graph, s: VertexSet, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _joinable(adj: tuple[int, ...], u: int, chosen: int, k: int) -> bool:
-    inside = adj[u] & chosen
-    if inside.bit_count() > k:
-        return False
-    for w in set_members(inside):
-        if (adj[w] & chosen).bit_count() >= k:
-            return False
-    return True
-
-
 def _narrow_candidates(adj: tuple[int, ...], k: int, chosen: int, cand: int, u: int) -> int:
     """Drop candidates made unjoinable by the addition of u to chosen."""
     if (adj[u] & chosen).bit_count() == k:
@@ -94,23 +84,18 @@ def _extend_smallest(adj: tuple[int, ...], k: int, chosen: int, cand: int, need:
 
 
 def _smallest_sparse_set(adj: tuple[int, ...], n: int, k: int, size: int,
-                         required: int = 0) -> int | None:
-    """Smallest-bitmask k-sparse set of exactly ``size`` containing ``required``."""
-    have = required.bit_count()
-    if size > n or have > size:
+                         v: int | None = None) -> int | None:
+    """Smallest-bitmask k-sparse set of exactly ``size``, through ``v`` if given."""
+    chosen = 0 if v is None else 1 << v
+    have = chosen.bit_count()
+    if size > n or have > size or (k < 0 and size > 0):
         return None
-    for v in set_members(required):
-        if (adj[v] & required).bit_count() > k:
-            return None
     if have == size:
-        return required
-    cand = 0
-    for u in range(n):
-        if required >> u & 1:
-            continue
-        if _joinable(adj, u, required, k):
-            cand |= 1 << u
-    return _extend_smallest(adj, k, required, cand, size - have)
+        return chosen
+    cand = (1 << n) - 1 & ~chosen
+    if k == 0 and v is not None:  # a lone v is saturated only when k = 0
+        cand &= ~adj[v]
+    return _extend_smallest(adj, k, chosen, cand, size - have)
 
 
 def has_k_sparse_set(g: Graph, k: int, j: int) -> VertexSet | None:
@@ -127,14 +112,14 @@ def has_k_sparse_set_containing(g: Graph, v: int, k: int, j: int) -> VertexSet |
     """Like :func:`has_k_sparse_set` but only over sets containing v."""
     if v < 0 or v >= g.order:
         raise ConstructionError(f"vertex {v} outside the graph")
-    return _smallest_sparse_set(g.adj, g.order, k, j, required=1 << v)
+    return _smallest_sparse_set(g.adj, g.order, k, j, v)
 
 
 def has_k_dense_set_containing(g: Graph, v: int, k: int, i: int) -> VertexSet | None:
     """Like :func:`has_k_dense_set` but only over sets containing v."""
     if v < 0 or v >= g.order:
         raise ConstructionError(f"vertex {v} outside the graph")
-    return _smallest_sparse_set(complement(g).adj, g.order, k, i, required=1 << v)
+    return _smallest_sparse_set(complement(g).adj, g.order, k, i, v)
 
 
 def alpha_k(g: Graph, k: int) -> tuple[int, VertexSet]:

@@ -193,6 +193,8 @@ def test_decode_key_rejects_malformed_keys():
         decode_key(bytes([MAX_N + 1]) + bytes((MAX_N + 1) * MAX_N // 16))
     with pytest.raises(DecodeError, match="length"):
         decode_key(bytes([4, 0, 0]))  # order 4 needs one byte for its 6 bits
+    with pytest.raises(DecodeError, match="empty"):
+        decode_key(b"")
 
 
 def test_decode_key_inverts_the_identity_encoding():

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from triramsey import cycle, complete_bipartite, graph6_decode, graph6_encode
+from triramsey import build_graph, cycle, complete_bipartite, graph6_decode, graph6_encode
 from triramsey.cli import main
 
-from .conftest import FIGURE_9_EDGES
+from .conftest import FIGURE_9_EDGES, petersen
 
 
 def run(capsys, *argv):
@@ -54,6 +54,16 @@ def test_compute_resume(capsys, tmp_path):
     assert out[out.index("end"):] == full_tail
 
 
+@pytest.mark.parametrize("name", ["missing.lvl", ""])
+def test_compute_resume_unreadable_path_is_usage_error(capsys, tmp_path, name):
+    # "" resumes from the directory itself.
+    code, out, err = run(capsys, "compute", "--k", "1", "--j", "4", "--workers", "1",
+                         "--resume", str(tmp_path / name))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path / name) in err
+
+
 def test_compute_rerun_is_byte_identical(capsys):
     first = run(capsys, "compute", "--k", "2", "--j", "4", "--workers", "1")
     second = run(capsys, "compute", "--k", "2", "--j", "4", "--workers", "2")
@@ -75,6 +85,25 @@ def test_check_violation_prints_witness(capsys):
     code, out, _ = run(capsys, "check", "--graph", g6, "--k", "1", "--i", "4", "--j", "4")
     assert code == 1
     assert "1-dense 4-set found: 0 1 2 3" in out
+
+
+def test_check_prints_first_triangle(capsys):
+    # Triangles {1, 2, 3} and {0, 3, 4}: the scan reports the one through the lowest vertex.
+    g = build_graph(5, [(0, 3), (0, 4), (3, 4), (1, 2), (2, 3), (1, 3)])
+    code, out, _ = run(capsys, "check", "--graph", graph6_encode(g), "--k", "1", "--j", "3")
+    assert code == 1
+    assert out == "triangle found: 0 3 4\n"
+
+
+@pytest.mark.parametrize("g, k, j, line", [
+    (cycle(7), 1, 4, "1-sparse 4-set found: 0 1 3 4"),
+    (petersen(), 1, 5, "1-sparse 5-set found: 0 2 3 5 6"),
+], ids=["c7", "petersen"])
+def test_check_prints_smallest_sparse_witness(capsys, g, k, j, line):
+    code, out, _ = run(capsys, "check", "--graph", graph6_encode(g), "--k", str(k),
+                       "--j", str(j))
+    assert code == 1
+    assert out == line + "\n"
 
 
 def test_decode_malformed_is_usage_error(capsys):

@@ -70,6 +70,23 @@ def test_witness_is_smallest_bitmask():
     assert witness == min(candidates)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_every_search_returns_the_smallest_bitmask(seed):
+    rng = random.Random(4000 + seed)
+    g = random_graph(rng, rng.randint(0, 9), p=rng.choice([0.2, 0.5, 0.8]))
+    n = g.order
+    searches = ((has_k_sparse_set, has_k_sparse_set_containing, is_k_sparse_set),
+                (has_k_dense_set, has_k_dense_set_containing, is_k_dense_set))
+    for k in range(4):
+        for size in range(n + 2):
+            for search, search_containing, holds in searches:
+                found = [m for m in range(1 << n) if m.bit_count() == size and holds(g, m, k)]
+                assert search(g, k, size) == min(found, default=None)
+                for v in range(n):
+                    through_v = [m for m in found if m >> v & 1]
+                    assert search_containing(g, v, k, size) == min(through_v, default=None)
+
+
 def test_containing_examples():
     c4 = cycle(4)
     dense = has_k_dense_set_containing(c4, 0, 1, 4)
@@ -79,6 +96,14 @@ def test_containing_examples():
     assert has_k_sparse_set_containing(p3, 1, 0, 2) is None
     through_leaf = has_k_sparse_set_containing(p3, 0, 0, 2)
     assert through_leaf is not None and through_leaf == vertex_set([0, 2])
+
+
+def test_negative_defect_admits_only_the_empty_set():
+    c5 = cycle(5)
+    assert has_k_sparse_set(c5, -1, 0) == 0
+    assert has_k_sparse_set(c5, -1, 1) is None
+    assert has_k_dense_set_containing(c5, 0, -1, 1) is None
+    assert alpha_k(c5, -1) == (0, 0)
 
 
 def test_alpha_k_examples():

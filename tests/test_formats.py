@@ -203,6 +203,39 @@ def test_data_after_footer_detected(tmp_path):
         read_level(target)
 
 
+def _replace(index, line):
+    def edit(lines):
+        lines[index] = line
+        return lines
+    return edit
+
+
+# Each edit of the 9-line T_1(3) order-4 file trips one header or footer check;
+# all of them come before the digest check, so no digest is recomputed.
+@pytest.mark.parametrize("edit, message", [
+    (_replace(0, "tfree-level 2"), "not a level file: missing 'tfree-level 1' header"),
+    (lambda lines: lines[:5], "level file: incomplete header"),
+    (_replace(3, "jj 3"), "level file line 4: expected 'j', found 'jj'"),
+    (_replace(1, "k"), "level file line 2: missing 'k' field"),
+    (_replace(4, "order four"), "level file line 5: bad order value 'four'"),
+    (_replace(6, "start"), "level file line 7: missing 'begin' marker"),
+    (_replace(5, "count 3"), "level file holds 2 members, header says 3"),
+    (lambda lines: lines[:-1] + [lines[-1].replace("sha256", "md5")],
+     "level file: malformed digest footer"),
+], ids=["magic", "five-lines", "renamed-field", "no-value", "non-integer", "no-begin",
+        "count-above-body", "footer"])
+def test_corrupt_header_or_footer_detected(tmp_path, edit, message):
+    spec = ProblemSpec(k=1, j=3)
+    target = tmp_path / "level.lvl"
+    write_level(level_at(spec, 4), spec, target)
+    lines = target.read_text().splitlines()
+    assert len(lines) == 9
+    target.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(IntegrityError) as info:
+        read_level(target)
+    assert str(info.value) == message
+
+
 def test_render_report_shape():
     from triramsey import RunLimits, compute_number
 
