@@ -17,14 +17,21 @@ search tree.  Every branching choice depends only on isomorphism-invariant
 data (class sizes, neighbor counts per cell), so isomorphic graphs explore
 corresponding trees; the candidate labeling with the smallest encoded key
 wins.
+
+``canonical_forms`` labels a whole array of same-order graphs: it runs the
+root refinement for all of them in numpy and encodes the single leaf of every
+graph whose root cells are its twin classes, leaving the rest to
+``canonical_form``, the only full labeling.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DecodeError
-from .graphs import MAX_N, Graph, graph_from_pair_bits
+from .graphs import MAX_N, Graph, adjacency_matrices, matrix_rows, upper_pairs
 
 #: Total-order canonical encoding of a graph; byte-compare gives the order.
 CanonKey = bytes
@@ -123,6 +130,18 @@ def _encode(n: int, rows: tuple[int, ...], order: list[int]) -> bytes:
     return bytes([n]) + bits.to_bytes((nbits + 7) // 8, "big")
 
 
+def _encode_rows(rows: np.ndarray, orders: np.ndarray) -> list[CanonKey]:
+    """``_encode`` of every graph of a (graphs x n) row array at once: the key
+    of ``rows[g]`` relabeled so that ``orders[g, a]`` becomes vertex a."""
+    m, n = rows.shape
+    matrices = np.take_along_axis(adjacency_matrices(rows), orders[:, :, None], axis=1)
+    matrices = np.take_along_axis(matrices, orders[:, None, :], axis=2)
+    body = np.packbits(matrices[:, upper_pairs(n)], axis=1)
+    blob = np.hstack([np.full((m, 1), n, dtype=np.uint8), body]).tobytes()
+    width = 1 + body.shape[1]
+    return [blob[at:at + width] for at in range(0, len(blob), width)]
+
+
 def canonical_form(g: Graph) -> CanonKey:
     """Relabeling-invariant key; equal keys <=> isomorphic graphs."""
     n = g.order
@@ -176,6 +195,90 @@ def canonical_form(g: Graph) -> CanonKey:
     return best_key
 
 
+def canonical_forms(rows: np.ndarray) -> list[CanonKey]:
+    """``canonical_form`` of every graph of a (graphs x n) uint32 row array.
+
+    The root refinement runs for all graphs at once (``_root_cells``).  A
+    graph whose root cells are its twin classes has a single leaf, so its
+    key is that leaf's, encoded for all such graphs at once; every other
+    graph goes through ``canonical_form``.
+    """
+    m, n = rows.shape
+    cells, leaf = _root_cells(rows)
+    keys: list[CanonKey] = [b""] * m
+    single = np.flatnonzero(leaf)
+    # Cell by cell, each twin class in ascending vertex order, as the leaf lists them.
+    orders = np.argsort(cells[single], axis=1, kind="stable")
+    for g, key in zip(single.tolist(), _encode_rows(rows[single], orders)):
+        keys[g] = key
+    for g in np.flatnonzero(~leaf).tolist():
+        keys[g] = canonical_form(Graph(n, tuple(rows[g].tolist())))
+    return keys
+
+
+def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root refinement of ``canonical_form`` for every graph of a
+    (graphs x n) uint32 row array, in vertex space: each vertex's cell index
+    (graphs x n, cells numbered in partition order), and whether the cells are
+    exactly the twin classes.
+
+    ``canonical_form`` refines the twin quotient from its class-size
+    partition.  Twins share their row, so they never part, and every class
+    in a cell has the same size; a vertex's count into a cell is that size
+    times its class's count, which orders the members of a cell as the
+    quotient's counts do.  So the rounds of ``_refine`` run here on the
+    vertices: each splits every cell by the rank of (cell, counts into every
+    cell), until a graph's round splits nothing or its cells are its classes.
+    """
+    m, n = rows.shape
+    if not n:
+        return np.zeros((m, 0), dtype=np.int64), np.ones(m, dtype=bool)
+    twins = rows[:, :, None] == rows[:, None, :]
+    # A vertex opens its class when its first twin is itself.
+    classes = (twins.argmax(axis=2) == np.arange(n)).sum(axis=1)
+    cells, count = _rank([twins.sum(axis=2)])
+    width = n.bit_length()  # bits per packed field: cells and counts are below n
+    active = np.flatnonzero(count < classes)
+    while active.size:
+        part, sub = cells[active], rows[active]
+        masks = matrix_rows(part[:, None, :] == np.arange(count[active].max())[:, None])
+        counts = [np.bitwise_count(sub & mask[:, None]) for mask in masks.T]
+        refined, split = _rank(_pack([part] + counts, width))
+        grew = split > count[active]
+        cells[active] = refined
+        count[active] = split
+        active = active[grew & (split < classes[active])]
+    return cells, count == classes
+
+
+def _pack(fields: list[np.ndarray], width: int) -> list[np.ndarray]:
+    """Per vertex, the (graphs x n) ``fields`` packed ``width`` bits each into
+    uint64 words, most significant first, so that the words compare as the
+    field tuples do."""
+    per = 64 // width
+    words = []
+    for lo in range(0, len(fields), per):
+        word = np.zeros(fields[0].shape, dtype=np.uint64)
+        for at, field in enumerate(fields[lo:lo + per]):
+            word |= field.astype(np.uint64) << np.uint64(width * (per - 1 - at))
+        words.append(word)
+    return words
+
+
+def _rank(words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per graph (row), each vertex's rank among the graph's distinct keys,
+    keys compared word by word, and the number of distinct keys."""
+    order = np.lexsort(words[::-1], axis=1)
+    new = np.zeros(order.shape, dtype=bool)
+    for word in words:
+        ranked = np.take_along_axis(word, order, axis=1)
+        new[:, 1:] |= ranked[:, 1:] != ranked[:, :-1]
+    ranks = np.cumsum(new, axis=1)
+    out = np.empty_like(ranks)
+    np.put_along_axis(out, order, ranks, axis=1)
+    return out, ranks[:, -1] + 1
+
+
 def canonical_graph(g: Graph) -> tuple[CanonKey, Graph]:
     """The canonical key together with the graph it encodes."""
     key = canonical_form(g)
@@ -197,14 +300,23 @@ def decode_key(key: CanonKey) -> Graph:
     expected = 1 + (nbits + 7) // 8
     if len(key) != expected:
         raise DecodeError(f"key of length {len(key)}, expected {expected}", offset=len(key))
-    bits = int.from_bytes(key[1:], "big")
     pad = -nbits % 8
-    if bits & ((1 << pad) - 1):
+    if key[-1] & ((1 << pad) - 1):
         raise DecodeError("nonzero trailing padding bits", offset=len(key) - 1)
-    return graph_from_pair_bits(n, bits >> pad, _key_pairs(n))
+    return decode_keys([key])[0]
 
 
-@lru_cache(maxsize=None)
-def _key_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The vertex pair of each unpadded key bit, least significant first."""
-    return tuple(reversed([(a, b) for a in range(n) for b in range(a + 1, n)]))
+def decode_keys(keys: Sequence[CanonKey]) -> list[Graph]:
+    """The graphs of keys of one order, each as ``decode_key`` rebuilds it.
+
+    The keys are not validated: they must come from ``canonical_form`` (or
+    have passed ``decode_key``).
+    """
+    if not keys:
+        return []
+    n = keys[0][0]
+    data = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
+    matrices = np.zeros((len(keys), n, n), dtype=bool)
+    matrices[:, upper_pairs(n)] = np.unpackbits(data[:, 1:], axis=1, count=n * (n - 1) // 2)
+    matrices |= matrices.transpose(0, 2, 1)
+    return [Graph(n, row) for row in map(tuple, matrix_rows(matrices).tolist())]

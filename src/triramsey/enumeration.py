@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .canon import CanonKey, canonical_form, canonical_graph, decode_key, twin_classes
+from .canon import CanonKey, canonical_form, canonical_graph, decode_keys, twin_classes
 from .defect import (
     has_k_dense_set,
     has_k_dense_set_containing,
@@ -56,8 +56,10 @@ from .graphs import (
 )
 
 #: Upper bound on the elements of one (attachment sets x patterns) broadcast
-#: in the forbidden-set filter, and of every temporary of ``first_nonmember``;
-#: the pattern, graph and subset axes are chunked to respect it.
+#: in the forbidden-set filter, of every temporary of ``first_nonmember``, and
+#: of the (graphs x n x n) temporaries in which ``level_step``, ``read_level``
+#: and ``write_level`` decode, label and encode a level; the pattern, graph and
+#: subset axes are chunked to respect it.
 _BROADCAST_ELEMENTS = 1 << 16
 
 
@@ -210,6 +212,12 @@ def _has_sparse_set(rows: np.ndarray, k: int, size: int) -> np.ndarray:
     return found
 
 
+def _graphs_per_chunk(n: int) -> int:
+    """How many graphs of order n one chunk takes, so that a (graphs x n x n)
+    temporary stays within ``_BROADCAST_ELEMENTS``."""
+    return max(1, _BROADCAST_ELEMENTS // max(1, n * n))
+
+
 def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
     """Index of the first of ``graphs``, all of one order, that fails
     membership, or None when every one passes.
@@ -228,7 +236,7 @@ def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
     n = first.order
     bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
     others = np.uint32((1 << n) - 1) ^ bits
-    step = max(1, _BROADCAST_ELEMENTS // max(1, n * n))
+    step = _graphs_per_chunk(n)
     graphs = chain([first], graphs)
     for lo in count(0, step):
         chunk = list(islice(graphs, step))
@@ -361,5 +369,8 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
         merged.update(keys)
         if max_cardinality is not None and len(merged) > max_cardinality:
             raise LevelCardinalityExceeded(next_order, max_cardinality)
-    members = tuple((key, decode_key(key)) for key in sorted(merged))
-    return LevelSet(next_order, members)
+    keys = sorted(merged)
+    step = _graphs_per_chunk(next_order)
+    graphs = chain.from_iterable(decode_keys(keys[lo:lo + step])
+                                 for lo in range(0, len(keys), step))
+    return LevelSet(next_order, tuple(zip(keys, graphs)))

@@ -9,19 +9,27 @@ A level file is a text document: a fixed header naming the search parameters
 and member count, one graph6 line per member in canonical-key order, and a
 SHA-256 digest over the body so truncation or tampering is detected before a
 resumed search can be poisoned.
+
+Both codecs have one implementation each, a numpy kernel over a (graphs x n)
+array of adjacency rows; ``graph6_encode`` and ``graph6_decode`` validate one
+graph or line and call it on a batch of one.  ``write_level`` and
+``read_level`` run a level through the kernels, and through the batched
+labeling, in chunks of ``enumeration._graphs_per_chunk`` graphs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from functools import lru_cache
 from pathlib import Path
 
-from .canon import canonical_graph
-from .enumeration import LevelSet, ProblemSpec
+import numpy as np
+
+from .canon import canonical_forms, decode_keys
+from .canon import canonical_graph  # noqa: F401  (perfbench/tracing.py swaps this name for a timed wrapper)
+from .enumeration import LevelSet, ProblemSpec, _graphs_per_chunk
 from .errors import CapacityError, DecodeError, IntegrityError, SpecConflictError
-from .graphs import MAX_N, Graph, graph_from_pair_bits
+from .graphs import MAX_N, Graph, adjacency_matrices, matrix_rows, upper_pairs
 
 _LEVEL_MAGIC = "tfree-level 1"
 _REPORT_MAGIC = "run-report 1"
@@ -31,20 +39,35 @@ def graph6_encode(g: Graph) -> str:
     n = g.order
     if n > 62:
         raise CapacityError("single-byte graph6 size form supports order <= 62")
-    need = (n * (n - 1) // 2 + 5) // 6
-    # x(u, v) for u < v sits at sequence index v(v-1)/2 + u, counted from the
-    # most significant of the need*6 data bits.
-    top = need * 6 - 1
-    bits = 0
-    for v in range(1, n):
-        row = g.adj[v] & ((1 << v) - 1)
-        base = top - v * (v - 1) // 2
-        while row:
-            low = row & -row
-            bits |= 1 << base - (low.bit_length() - 1)
-            row ^= low
-    return chr(n + 63) + "".join([chr((bits >> shift & 63) + 63)
-                                  for shift in range(need * 6 - 6, -1, -6)])
+    return _graph6_lines(np.array(g.adj, dtype=np.uint64).reshape(1, n))[0]
+
+
+def _graph6_lines(rows: np.ndarray) -> list[str]:
+    """The graph6 line of every graph of a (graphs x n) uint64 row array."""
+    m, n = rows.shape
+    # x(u, v) for u < v in sequence order, by v and then by u: the lower
+    # triangle, row by row.
+    bits = adjacency_matrices(rows)[:, upper_pairs(n).T]
+    # Six bits a character, most significant first, zero padded.
+    need = (bits.shape[1] + 5) // 6
+    six = np.zeros((m, need * 6), dtype=bool)
+    six[:, :bits.shape[1]] = bits
+    values = np.packbits(six.reshape(m, need, 6), axis=2)[:, :, 0] >> 2
+    text = np.hstack([np.full((m, 1), n, dtype=np.uint8), values]) + np.uint8(63)
+    blob = text.tobytes().decode("ascii")
+    width = text.shape[1]
+    return [blob[at:at + width] for at in range(0, len(blob), width)]
+
+
+def _graph6_rows(data: np.ndarray, n: int) -> np.ndarray:
+    """The (graphs x n) uint64 rows of checked graph6 lines of order ``n``, as a
+    (graphs x characters) uint8 array."""
+    sequence = np.arange(n * (n - 1) // 2)
+    values = data[:, 1 + sequence // 6] - np.uint8(63)
+    matrices = np.zeros((len(data), n, n), dtype=bool)
+    matrices[:, upper_pairs(n).T] = values >> (5 - sequence % 6).astype(np.uint8) & 1
+    matrices |= matrices.transpose(0, 2, 1)
+    return matrix_rows(matrices)
 
 
 def graph6_decode(line: str) -> Graph:
@@ -70,19 +93,11 @@ def graph6_decode(line: str) -> Graph:
     if len(s) - 1 > need:
         raise DecodeError(f"expected {need} data characters, found {len(s) - 1}",
                           offset=1 + need)
-    bits = 0
-    for ch in s[1:]:
-        bits = bits << 6 | (ord(ch) - 63)
     pad = need * 6 - nbits
-    if bits & ((1 << pad) - 1):
+    if (ord(s[-1]) - 63) & ((1 << pad) - 1):
         raise DecodeError("nonzero trailing padding bits", offset=len(s) - 1)
-    return graph_from_pair_bits(n, bits >> pad, _graph6_pairs(n))
-
-
-@lru_cache(maxsize=None)
-def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The vertex pair of each unpadded graph6 bit, least significant first."""
-    return tuple(reversed([(u, v) for v in range(1, n) for u in range(v)]))
+    data = np.frombuffer(s.encode("ascii"), dtype=np.uint8).reshape(1, -1)
+    return Graph(n, tuple(_graph6_rows(data, n)[0].tolist()))
 
 
 def _spec_fields(spec: ProblemSpec) -> list[str]:
@@ -103,7 +118,11 @@ def _body_digest(lines: list[str]) -> str:
 
 def write_level(level: LevelSet, spec: ProblemSpec, destination) -> None:
     """Write a level file; members appear in stored (canonical-key) order."""
-    body = [graph6_encode(g) for _, g in level.members]
+    body = []
+    step = _graphs_per_chunk(level.order)
+    for lo in range(0, len(level), step):
+        chunk = [g.adj for _, g in level.members[lo:lo + step]]
+        body.extend(_graph6_lines(np.array(chunk, dtype=np.uint64).reshape(len(chunk), level.order)))
     lines = [_LEVEL_MAGIC]
     lines.extend(_spec_fields(spec))
     lines.append(f"order {level.order}")
@@ -135,8 +154,17 @@ def _parse_header_int(lines: list[str], index: int, name: str) -> int:
 
 
 def read_level(source) -> tuple[LevelSet, ProblemSpec]:
-    """Read and validate a level file; members are re-canonicalized."""
-    text = Path(source).read_text(encoding="ascii")
+    """Read and validate a level file; members are re-canonicalized.
+
+    The body is decoded and labeled chunk by chunk (``_body_rows``,
+    ``canonical_forms``), and each class decoded from its sorted key.
+    """
+    data = Path(source).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise IntegrityError(f"level file: non-ASCII byte 0x{data[exc.start]:02x} "
+                             f"at byte offset {exc.start}") from None
     lines = text.splitlines()
     if not lines or lines[0] != _LEVEL_MAGIC:
         raise IntegrityError(f"not a level file: missing '{_LEVEL_MAGIC}' header")
@@ -168,17 +196,46 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
         raise IntegrityError(f"level file digest mismatch: {actual} != {expected}")
 
     spec = ProblemSpec(k=k, j=j, i=i)
-    members = []
-    for line in body:
-        g = graph6_decode(line)
-        if g.order != order:
-            raise IntegrityError(f"member of order {g.order} in a level of order {order}")
-        members.append(canonical_graph(g))
-    members.sort(key=lambda pair: pair[0])
-    for (key, _), (next_key, _) in zip(members, members[1:]):
+    step = _graphs_per_chunk(order)
+    keys = []
+    for lo in range(0, count, step):
+        keys.extend(canonical_forms(_body_rows(body[lo:lo + step], order)))
+    keys.sort()
+    for key, next_key in zip(keys, keys[1:]):
         if key == next_key:
             raise IntegrityError("level file repeats an isomorphism class")
-    return LevelSet(order, tuple(members)), spec
+    graphs = []
+    for lo in range(0, count, step):
+        graphs.extend(decode_keys(keys[lo:lo + step]))
+    return LevelSet(order, tuple(zip(keys, graphs))), spec
+
+
+def _body_rows(lines: list[str], order: int) -> np.ndarray:
+    """The (lines x order) uint32 rows of body lines, in file order.
+
+    A line of the exact length, its characters in range, the right size
+    character and zero padding bits is decoded with the others in one pass;
+    every other line goes through ``graph6_decode`` and the order check in
+    file order, so the first bad line raises what decoding line by line would.
+    """
+    nbits = order * (order - 1) // 2
+    width = 1 + (nbits + 5) // 6
+    sized = [at for at, line in enumerate(lines) if len(line) == width]
+    data = np.frombuffer("".join([lines[at] for at in sized]).encode("ascii"),
+                         dtype=np.uint8).reshape(len(sized), width)
+    padding = np.uint8((1 << (6 * width - 6 - nbits)) - 1)
+    fits = (((data >= 63) & (data <= 126)).all(axis=1) & (data[:, 0] == order + 63)
+            & (((data[:, -1] - np.uint8(63)) & padding) == 0))
+    fast = np.zeros(len(lines), dtype=bool)
+    fast[sized] = fits
+    rows = np.zeros((len(lines), order), dtype=np.uint32)
+    rows[fast] = _graph6_rows(data[fits], order)
+    for at in np.flatnonzero(~fast).tolist():
+        g = graph6_decode(lines[at])
+        if g.order != order:
+            raise IntegrityError(f"member of order {g.order} in a level of order {order}")
+        rows[at] = g.adj
+    return rows
 
 
 def level_filename(order: int) -> str:

@@ -4,13 +4,17 @@ A graph of order ``n`` (``n <= MAX_N``) is stored as one adjacency row per
 vertex, each row an int bitmask over vertex indices ``0..n-1``.  Vertex sets
 everywhere in this package are plain int bitmasks of the same kind, so all
 set algebra is single-word bit arithmetic.  Graphs are immutable values:
-every operation returns a new ``Graph``.
+every operation returns a new ``Graph``.  Batches of graphs of one order
+travel as (graphs x n) numpy arrays of rows; ``adjacency_matrices`` and
+``matrix_rows`` convert them to and from bool matrices for the codecs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import CapacityError, ConstructionError
 
@@ -111,20 +115,28 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(order, tuple(rows))
 
 
-def graph_from_pair_bits(order: int, bits: int, pairs: Sequence[tuple[int, int]]) -> Graph:
-    """The graph with edge ``pairs[p]`` for every set bit p of ``bits``.
+def adjacency_matrices(rows: np.ndarray) -> np.ndarray:
+    """The (graphs x n x n) bool adjacency matrices of a (graphs x n) array of
+    unsigned adjacency rows (n <= 64)."""
+    m, n = rows.shape
+    octets = rows.astype("<u8").view(np.uint8).reshape(m, n, 8)
+    return np.unpackbits(octets, axis=2, count=n, bitorder="little").view(bool)
 
-    Decoders of packed adjacency bits use this with a per-order table, so
-    they walk the edges instead of every vertex pair.
-    """
-    rows = [0] * order
-    while bits:
-        low = bits & -bits
-        u, v = pairs[low.bit_length() - 1]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        bits ^= low
-    return Graph(order, tuple(rows))
+
+def matrix_rows(matrices: np.ndarray) -> np.ndarray:
+    """The (graphs x rows) uint64 bitmasks of the rows of (graphs x rows x n)
+    bool matrices (n <= 64); ``adjacency_matrices`` inverted."""
+    m, count, n = matrices.shape
+    octets = np.zeros((m, count, 8), dtype=np.uint8)
+    octets[:, :, :(n + 7) // 8] = np.packbits(matrices, axis=2, bitorder="little")
+    return octets.view("<u8")[:, :, 0].astype(np.uint64)
+
+
+def upper_pairs(n: int) -> np.ndarray:
+    """The (n x n) bool mask of the vertex pairs a < b; indexing the last two
+    axes with it lists them by a, then by b."""
+    vertices = np.arange(n)
+    return vertices[:, None] < vertices
 
 
 def empty_graph(order: int) -> Graph:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from triramsey import (
     MAX_N,
     DecodeError,
     Graph,
+    ProblemSpec,
     add_vertex,
     are_isomorphic,
     blow_up,
@@ -21,11 +23,21 @@ from triramsey import (
     complete_bipartite,
     cycle,
     decode_key,
+    initial_level,
+    level_step,
     path,
     permute,
     validate_graph,
 )
-from triramsey.canon import _encode, _refine
+from triramsey.canon import (
+    _encode,
+    _encode_rows,
+    _refine,
+    _root_cells,
+    canonical_forms,
+    decode_keys,
+    twin_classes,
+)
 from triramsey.oracle import brute_isomorphic, count_graph_classes
 
 from .conftest import petersen, random_graph, random_permutation, random_triangle_free
@@ -287,3 +299,98 @@ def test_golden_key_digest():
     digest = hashlib.sha256(b"".join(canonical_form(g) for g in golden_corpus()))
     assert digest.hexdigest() == (
         "5f3081bcfb60fb9e6761aa3db0ad591bd2bb88f2fd39a3512ca7c8101db0f9d9")
+
+
+def row_array(graphs: list[Graph], n: int) -> np.ndarray:
+    return np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
+
+
+def quotient_root(g: Graph) -> tuple[list[list[int]], bool]:
+    """``canonical_form``'s root partition by the frozen reference: the twin
+    quotient refined round by round from its class-size partition, each cell
+    listed as its vertices; and whether every cell is one twin class."""
+    classes = twin_classes(g)
+    first = [cell[0] for cell in classes]
+    qadj = [sum(1 << d for d, v in enumerate(first) if g.adj[cell[0]] >> v & 1)
+            for cell in classes]
+    sizes = sorted({len(cell) for cell in classes})
+    partition = [[c for c, cell in enumerate(classes) if len(cell) == s] for s in sizes]
+    cells = round_based_refine(qadj, partition)
+    return [sorted(v for c in cell for v in classes[c]) for cell in cells], len(cells) == len(classes)
+
+
+def batch_root(cells: np.ndarray) -> list[list[int]]:
+    return [np.flatnonzero(cells == c).tolist() for c in range(cells.max(initial=-1) + 1)]
+
+
+def relabeled(rng: random.Random, graphs: list[Graph]) -> list[Graph]:
+    return [permute(g, random_permutation(rng, g.order)) for g in graphs]
+
+
+def level_members(spec: ProblemSpec) -> list[Graph]:
+    """Every member of every level of the search, from K1 to the first empty level."""
+    level, members = initial_level(spec), []
+    while len(level):
+        members += level.graphs()
+        level = level_step(level, spec)
+    return members
+
+
+def batch_corpus() -> list[Graph]:
+    """``golden_corpus`` plus relabeled copies of it, relabeled blow-ups
+    (whose twin classes have several sizes) and random graphs of orders
+    16-32; about a quarter have root cells that are not their twin classes."""
+    rng = random.Random(17)
+    corpus = golden_corpus()
+    corpus += relabeled(rng, corpus)
+    corpus += [permute(blow_up(g, t), random_permutation(rng, g.order * t))
+               for g in (cycle(5), path(4), petersen(), FRUCHT) for t in (1, 2, 3) if g.order * t <= MAX_N]
+    corpus += [random_graph(rng, n, p) for n in (16, 24, 32) for p in (0.1, 0.3, 0.5)]
+    return corpus
+
+
+def by_order(graphs: list[Graph]) -> dict[int, list[Graph]]:
+    groups: dict[int, list[Graph]] = {}
+    for g in graphs:
+        groups.setdefault(g.order, []).append(g)
+    return groups
+
+
+def test_root_cells_match_round_based_reference():
+    # All graphs of one order go through one batch, so every round runs with
+    # some graphs already stable.
+    for n, graphs in by_order(batch_corpus()).items():
+        cells, leaf = _root_cells(row_array(graphs, n))
+        for g, vertex_cells, single in zip(graphs, cells, leaf):
+            assert (batch_root(vertex_cells), bool(single)) == quotient_root(g), g
+
+
+def test_encode_rows_matches_encode():
+    rng = random.Random(18)
+    for n in range(MAX_N + 1):
+        graphs = [random_graph(rng, n, rng.choice([0.1, 0.5, 0.9])) for _ in range(rng.randint(0, 4))]
+        orders = [random_permutation(rng, n) for _ in graphs]
+        keys = _encode_rows(row_array(graphs, n), np.array(orders, dtype=np.intp).reshape(len(graphs), n))
+        assert keys == [_encode(n, g.adj, order) for g, order in zip(graphs, orders)]
+
+
+@pytest.mark.parametrize("name, graphs", [
+    ("corpus", batch_corpus),
+    ("t_2_7", lambda: relabeled(random.Random(19), level_members(ProblemSpec(k=2, j=7)))),
+    ("r_1_4_7", lambda: relabeled(random.Random(20), level_members(ProblemSpec(k=1, j=7, i=4)))),
+])
+def test_canonical_forms_match_canonical_form(name, graphs):
+    for n, group in by_order(graphs()).items():
+        assert canonical_forms(row_array(group, n)) == [canonical_form(g) for g in group], n
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decode_keys_match_decode_key(seed):
+    rng = random.Random(30 + seed)
+    assert decode_keys([]) == []
+    for n in range(MAX_N + 1):
+        graphs = [random_graph(rng, n, rng.choice([0.1, 0.5, 0.9])) for _ in range(rng.randint(0, 5))]
+        if n == MAX_N:
+            graphs.append(build_graph(n, [(0, n - 1), (n - 2, n - 1)]))  # bit 31 set in rows 0 and 30
+        keys = [_encode(n, g.adj, list(range(n))) for g in graphs]
+        assert decode_keys(keys) == [decode_key(key) for key in keys] == graphs

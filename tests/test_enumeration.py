@@ -178,6 +178,18 @@ def test_worker_counts_agree():
     assert all(g == decode_key(key) for level in (serial, two) for key, g in level.members)
 
 
+@pytest.mark.parametrize("bound", [1, 300, 700])
+def test_level_step_decodes_in_chunks(monkeypatch, bound):
+    # The final decode of the 30 order-8 classes takes 1, 4 or 10 keys a
+    # chunk; each class is still the graph decode_key rebuilds.
+    spec = ProblemSpec(k=1, j=5)
+    whole = level_at(spec, 8)
+    monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", bound)
+    chunked = level_at(spec, 8)
+    assert chunked == whole and len(chunked) > enumeration._graphs_per_chunk(8)
+    assert all(g == decode_key(key) for key, g in chunked.members)
+
+
 KILL_ONE_WORKER = textwrap.dedent("""
     import os
     from concurrent.futures import ProcessPoolExecutor

@@ -3,12 +3,14 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from triramsey import (
     CapacityError,
     DecodeError,
     MAX_N,
+    Graph,
     IntegrityError,
     ProblemSpec,
     are_isomorphic,
@@ -18,14 +20,16 @@ from triramsey import (
     graph6_decode,
     graph6_encode,
     level_at,
+    permute,
     read_level,
     single_vertex,
     write_level,
 )
+from triramsey import enumeration
 from triramsey.enumeration import LevelSet
-from triramsey.formats import render_report
+from triramsey.formats import _body_digest, _body_rows, _graph6_lines, render_report
 
-from .conftest import random_graph
+from .conftest import random_graph, random_permutation
 
 
 def test_graph6_fixed_values():
@@ -94,6 +98,54 @@ def test_graph6_matches_networkx():
         line = nx.to_graph6_bytes(reference, header=False).decode("ascii").strip()
         assert graph6_encode(g) == line
         assert graph6_decode(line) == g
+
+
+def reference_graph6(g: Graph) -> str:
+    """graph6 by its definition: x(u, v) for u < v ordered by v, then u, six
+    bits a character, most significant first, zero padded, each plus 63."""
+    bits = [g.adj[v] >> u & 1 for v in range(1, g.order) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    data = [sum(bit << 5 - at for at, bit in enumerate(bits[lo:lo + 6]))
+            for lo in range(0, len(bits), 6)]
+    return "".join(chr(63 + value) for value in [g.order] + data)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graph6_batches_match_one_item_calls(seed, monkeypatch, tmp_path):
+    """``write_level``'s and ``read_level``'s chunked codecs agree with
+    ``graph6_encode`` and ``graph6_decode`` on every order up to MAX_N, empty
+    batches included; odd seeds shrink the broadcast bound, so the batches
+    run in many chunks."""
+    rng = random.Random(40 + seed)
+    if seed % 2:
+        monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", rng.choice([1, 7, 100, 2000]))
+    spec = ProblemSpec(k=1, j=3)
+    for n in range(MAX_N + 1):
+        graphs = [random_graph(rng, n, rng.choice([0.1, 0.5, 0.9]))
+                  for _ in range(rng.randint(0, 6))]
+        if n == MAX_N:
+            graphs.append(build_graph(n, [(0, n - 1), (n - 2, n - 1)]))  # bit 31 set
+        lines = [graph6_encode(g) for g in graphs]
+        assert lines == [reference_graph6(g) for g in graphs]
+        assert [graph6_decode(line) for line in lines] == graphs
+        rows = np.array([g.adj for g in graphs], dtype=np.uint64).reshape(len(graphs), n)
+        assert _graph6_lines(rows) == lines
+        assert _body_rows(lines, n).tolist() == [list(g.adj) for g in graphs]
+        target = tmp_path / f"level-{n}.lvl"
+        write_level(LevelSet(n, tuple((b"", g) for g in graphs)), spec, target)
+        body = target.read_text().splitlines()[7:-1]
+        assert body == lines
+
+
+def test_graph6_encode_beyond_package_capacity():
+    # The single-byte size form reaches order 62, past MAX_N.
+    rng = random.Random(47)
+    for n in (33, 40, 62):
+        g = random_graph(rng, 32, 0.5)
+        g = Graph(n, g.adj + (0,) * (n - 32))
+        assert graph6_encode(g) == reference_graph6(g)
+    with pytest.raises(CapacityError):
+        graph6_encode(Graph(63, (0,) * 63))
 
 
 def test_level_file_round_trip(tmp_path):
@@ -234,6 +286,116 @@ def test_corrupt_header_or_footer_detected(tmp_path, edit, message):
     with pytest.raises(IntegrityError) as info:
         read_level(target)
     assert str(info.value) == message
+
+
+def test_non_ascii_byte_detected(tmp_path):
+    spec = ProblemSpec(k=1, j=4)
+    target = tmp_path / "level.lvl"
+    write_level(level_at(spec, 5), spec, target)
+    data = bytearray(target.read_bytes())
+    at = data.index(b"begin\n") + len("begin\n") + 1
+    data[at] = 0xC3
+    target.write_bytes(bytes(data))
+    with pytest.raises(IntegrityError) as info:
+        read_level(target)
+    assert str(info.value) == f"level file: non-ASCII byte 0xc3 at byte offset {at}"
+
+
+def _relabeled_copy(level: LevelSet, spec: ProblemSpec, target, seed: int) -> None:
+    """The level's file with every member relabeled and the members shuffled."""
+    rng = random.Random(seed)
+    graphs = [permute(g, random_permutation(rng, g.order)) for g in level.graphs()]
+    rng.shuffle(graphs)
+    write_level(LevelSet(level.order, tuple((b"", g) for g in graphs)), spec, target)
+
+
+@pytest.mark.parametrize("spec, order", [(ProblemSpec(k=2, j=7), 10),
+                                         (ProblemSpec(k=1, j=7, i=4), 9)], ids=["t", "r"])
+@pytest.mark.parametrize("bound", [None, 1, 150, 5000])
+def test_relabeled_level_reads_back_canonical(tmp_path, monkeypatch, spec, order, bound):
+    if bound is not None:
+        monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", bound)
+    level = level_at(spec, order)
+    canonical = tmp_path / "canonical.lvl"
+    write_level(level, spec, canonical)
+    shuffled = tmp_path / "shuffled.lvl"
+    _relabeled_copy(level, spec, shuffled, seed=order)
+    assert shuffled.read_bytes() != canonical.read_bytes()
+    for source in (canonical, shuffled):
+        loaded, loaded_spec = read_level(source)
+        assert loaded_spec == spec and loaded == level
+        rewritten = tmp_path / "rewritten.lvl"
+        write_level(loaded, spec, rewritten)
+        assert rewritten.read_bytes() == canonical.read_bytes()
+
+
+def _with_body(target, spec: ProblemSpec, order: int, body: list[str]) -> None:
+    """A level file around ``body``, with its count and digest consistent."""
+    lines = ["tfree-level 1", f"k {spec.k}", "i -", f"j {spec.j}", f"order {order}",
+             f"count {len(body)}", "begin"] + body + [f"digest sha256 {_body_digest(body)}"]
+    target.write_text("\n".join(lines) + "\n")
+
+
+# Edits of the 85-member T_2(7) order-7 body, each placed well after the first
+# chunk: (position, line) pairs, with the error the first of them raises.
+LATE_EDITS = {
+    "wrong-order": ([(70, "Dhc")], IntegrityError, "member of order 5 in a level of order 7"),
+    "bad-character": ([(60, "F?!??")], DecodeError,
+                      "character '!' outside graph6 range 63..126 (byte offset 2)"),
+    "padding": ([(83, "F???@")], DecodeError, "nonzero trailing padding bits (byte offset 4)"),
+    "truncated": ([(40, "F???")], DecodeError,
+                  "truncated: expected 4 data characters, found 3 (byte offset 4)"),
+    "too-long": ([(40, "F?????")], DecodeError,
+                 "expected 4 data characters, found 5 (byte offset 5)"),
+    "empty": ([(50, "")], DecodeError, "empty graph6 line (byte offset 0)"),
+    "multi-byte": ([(50, "~????")], DecodeError,
+                   "multi-byte size form is not supported (byte offset 0)"),
+    "above-capacity": ([(50, chr(40 + 63))], CapacityError,
+                       "decoded order 40 exceeds capacity 32"),
+    "prefixed-bad": ([(66, ">>graph6<<F?!??")], DecodeError,
+                     "character '!' outside graph6 range 63..126 (byte offset 2)"),
+    "prefix-only": ([(66, ">>graph6<<")], DecodeError, "empty graph6 line (byte offset 0)"),
+    "first-of-two": ([(30, "Dhc"), (60, "F?!??")], IntegrityError,
+                     "member of order 5 in a level of order 7"),
+    "second-of-two": ([(30, "F?!??"), (60, "Dhc")], DecodeError,
+                      "character '!' outside graph6 range 63..126 (byte offset 2)"),
+    "repeated": ([(84, "repeat")], IntegrityError, "level file repeats an isomorphism class"),
+}
+
+
+@pytest.mark.parametrize("bound", [None, 100, 2000])
+@pytest.mark.parametrize("name", sorted(LATE_EDITS))
+def test_bad_line_in_a_later_chunk_detected(tmp_path, monkeypatch, name, bound):
+    spec = ProblemSpec(k=2, j=7)
+    level = level_at(spec, 7)
+    body = [graph6_encode(g) for g in level.graphs()]
+    assert len(body) == 85
+    edits, error, message = LATE_EDITS[name]
+    for at, line in edits:
+        # A relabeled copy of the first member repeats its class.
+        body[at] = graph6_encode(permute(level.graphs()[0], [6, 5, 4, 3, 2, 1, 0])) if line == "repeat" else line
+    target = tmp_path / "level.lvl"
+    _with_body(target, spec, 7, body)
+    if bound is not None:
+        monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", bound)
+    with pytest.raises(error) as info:
+        read_level(target)
+    assert str(info.value) == message
+
+
+def test_prefixed_and_padded_lines_accepted(tmp_path, monkeypatch):
+    # graph6_decode strips surrounding whitespace and the ">>graph6<<" header.
+    monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", 100)
+    spec = ProblemSpec(k=2, j=7)
+    level = level_at(spec, 7)
+    body = [graph6_encode(g) for g in level.graphs()]
+    body[10] = ">>graph6<<" + body[10]
+    body[50] = " " + body[50] + "\t"
+    body[80] = ">>graph6<<" + body[80] + " "
+    target = tmp_path / "level.lvl"
+    _with_body(target, spec, 7, body)
+    loaded, _ = read_level(target)
+    assert loaded == level
 
 
 def test_render_report_shape():
