@@ -18,10 +18,11 @@ data (class sizes, neighbor counts per cell), so isomorphic graphs explore
 corresponding trees; the candidate labeling with the smallest encoded key
 wins.
 
-``canonical_forms`` labels a whole array of same-order graphs: it runs the
-root refinement for all of them in numpy and encodes the single leaf of every
-graph whose root cells are its twin classes, leaving the rest to
-``canonical_form``, the only full labeling.
+``canonical_forms`` is the only labeling, of a whole array of same-order
+graphs: it runs the root refinement for all of them in numpy, encodes the
+single leaf of every graph whose root cells are its twin classes, and
+searches the rest from the root cells it already has.  ``canonical_form``
+labels a batch of one.
 """
 
 from __future__ import annotations
@@ -56,21 +57,19 @@ def twin_classes(g: Graph) -> list[list[int]]:
     return classes
 
 
-def _refine(qadj: list[int], partition: list[list[int]],
-            fresh: list[int] | None = None) -> list[list[int]]:
+def _refine(qadj: list[int], partition: list[list[int]], fresh: list[int]) -> list[list[int]]:
     """Split cells by neighbor counts until stable, against fresh splitters only.
 
     ``fresh`` lists the cell masks, in partition order, whose counts may still
-    differ inside a cell; ``None`` means every cell of ``partition``.  After a
-    round, the members of each cell agree on their counts into every cell that
-    existed when the round began, and the last piece of a split cell has the
-    count the other pieces leave over.  So the next round counts only into
-    the other pieces of the cells just split: within one cell that shorter
-    tuple orders exactly as the full one, and the cells come out as the
-    round-based refinement against every cell lists them.
+    differ inside a cell; the search passes the vertex it just
+    individualized.  After a round, the members of each cell agree on their
+    counts into every cell that existed when the round began, and the last
+    piece of a split cell has the count the other pieces leave over.  So the
+    next round counts only into the other pieces of the cells just split:
+    within one cell that shorter tuple orders exactly as the full one, and
+    the cells come out as the round-based refinement against every cell
+    lists them.
     """
-    if fresh is None:
-        fresh = [_mask(cell) for cell in partition]
     while fresh:
         refined: list[list[int]] = []
         split: list[int] = []
@@ -143,11 +142,40 @@ def _encode_rows(rows: np.ndarray, orders: np.ndarray) -> list[CanonKey]:
 
 
 def canonical_form(g: Graph) -> CanonKey:
-    """Relabeling-invariant key; equal keys <=> isomorphic graphs."""
-    n = g.order
-    classes = twin_classes(g)
+    """Relabeling-invariant key; equal keys <=> isomorphic graphs (``canonical_forms`` of one)."""
+    return canonical_forms(np.array(g.adj, dtype=np.uint32).reshape(1, g.order))[0]
+
+
+def canonical_forms(rows: np.ndarray) -> list[CanonKey]:
+    """The key of every graph of a (graphs x n) uint32 row array.
+
+    The root refinement runs for all graphs at once (``_root_cells``).  A
+    graph whose root cells are its twin classes has a single leaf, so its
+    key is that leaf's, encoded for all such graphs at once; every other
+    graph is searched from its root cells (``_search``).
+    """
+    cells, leaf = _root_cells(rows)
+    keys: list[CanonKey] = [b""] * len(rows)
+    single = np.flatnonzero(leaf)
+    # Cell by cell, each twin class in ascending vertex order, as the leaf lists them.
+    orders = np.argsort(cells[single], axis=1, kind="stable")
+    for g, key in zip(single.tolist(), _encode_rows(rows[single], orders)):
+        keys[g] = key
+    for g in np.flatnonzero(~leaf).tolist():
+        keys[g] = _search(tuple(rows[g].tolist()), cells[g].tolist())
+    return keys
+
+
+def _search(rows: tuple[int, ...], cells: list[int]) -> CanonKey:
+    """The smallest leaf key of the graph with adjacency ``rows``, searched
+    on its twin quotient from the equitable root partition ``cells`` (each
+    vertex's root cell, numbered in partition order, as ``_root_cells``
+    gives them).  Each cell lists its classes by ascending first member.
+    """
+    n = len(rows)
+    classes = twin_classes(Graph(n, rows))
     if len(classes) == n:
-        qadj = list(g.adj)
+        qadj = list(rows)
     else:
         # Twins share their row, so a class is adjacent to r iff its
         # representative is.
@@ -157,7 +185,7 @@ def canonical_form(g: Graph) -> CanonKey:
             rep_mask |= 1 << r
         qadj = []
         for cell in classes:
-            row = g.adj[cell[0]] & rep_mask
+            row = rows[cell[0]] & rep_mask
             qrow = 0
             while row:
                 low = row & -row
@@ -165,10 +193,9 @@ def canonical_form(g: Graph) -> CanonKey:
                 row ^= low
             qadj.append(qrow)
 
-    sizes = sorted({len(cell) for cell in classes})
-    partition = [[c for c in range(len(classes)) if len(classes[c]) == s] for s in sizes]
-
-    rows = g.adj
+    root: list[list[int]] = [[] for _ in range(max(cells) + 1)]
+    for c, cell in enumerate(classes):
+        root[cells[cell[0]]].append(c)
     best_key: bytes | None = None
 
     def search(part: list[list[int]]) -> None:
@@ -191,44 +218,24 @@ def canonical_form(g: Graph) -> CanonKey:
             # ``part`` is equitable, so only the new singleton can split a cell.
             search(_refine(qadj, trial, [1 << x]))
 
-    search(_refine(qadj, partition))
+    search(root)
     return best_key
 
 
-def canonical_forms(rows: np.ndarray) -> list[CanonKey]:
-    """``canonical_form`` of every graph of a (graphs x n) uint32 row array.
-
-    The root refinement runs for all graphs at once (``_root_cells``).  A
-    graph whose root cells are its twin classes has a single leaf, so its
-    key is that leaf's, encoded for all such graphs at once; every other
-    graph goes through ``canonical_form``.
-    """
-    m, n = rows.shape
-    cells, leaf = _root_cells(rows)
-    keys: list[CanonKey] = [b""] * m
-    single = np.flatnonzero(leaf)
-    # Cell by cell, each twin class in ascending vertex order, as the leaf lists them.
-    orders = np.argsort(cells[single], axis=1, kind="stable")
-    for g, key in zip(single.tolist(), _encode_rows(rows[single], orders)):
-        keys[g] = key
-    for g in np.flatnonzero(~leaf).tolist():
-        keys[g] = canonical_form(Graph(n, tuple(rows[g].tolist())))
-    return keys
-
-
 def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The root refinement of ``canonical_form`` for every graph of a
-    (graphs x n) uint32 row array, in vertex space: each vertex's cell index
-    (graphs x n, cells numbered in partition order), and whether the cells are
-    exactly the twin classes.
+    """The root refinement for every graph of a (graphs x n) uint32 row
+    array, in vertex space: each vertex's cell index (graphs x n, cells
+    numbered in partition order), and whether the cells are exactly the twin
+    classes.
 
-    ``canonical_form`` refines the twin quotient from its class-size
-    partition.  Twins share their row, so they never part, and every class
-    in a cell has the same size; a vertex's count into a cell is that size
-    times its class's count, which orders the members of a cell as the
-    quotient's counts do.  So the rounds of ``_refine`` run here on the
-    vertices: each splits every cell by the rank of (cell, counts into every
-    cell), until a graph's round splits nothing or its cells are its classes.
+    The root partition is the twin quotient's class-size partition, refined
+    round by round, each round splitting every cell by its members' counts
+    into every cell.  Twins share their row, so they never part, and every
+    class in a cell has the same size; a vertex's count into a cell is that
+    size times its class's count, which orders the members of a cell as the
+    quotient's counts do.  So the rounds run here on the vertices: each
+    splits every cell by the rank of (cell, counts into every cell), until a
+    graph's round splits nothing or its cells are its classes.
     """
     m, n = rows.shape
     if not n:
@@ -309,7 +316,7 @@ def decode_key(key: CanonKey) -> Graph:
 def decode_keys(keys: Sequence[CanonKey]) -> list[Graph]:
     """The graphs of keys of one order, each as ``decode_key`` rebuilds it.
 
-    The keys are not validated: they must come from ``canonical_form`` (or
+    The keys are not validated: they must come from ``canonical_forms`` (or
     have passed ``decode_key``).
     """
     if not keys:

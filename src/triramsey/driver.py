@@ -13,10 +13,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
-from .canon import are_isomorphic
+from .canon import canonical_form
 from .enumeration import (
     LevelCardinalityExceeded,
     LevelSet,
@@ -36,7 +35,13 @@ CAPPED = "capped"
 
 @dataclass(frozen=True)
 class RunLimits:
-    """Resource knobs for a run; all bounds are inclusive."""
+    """Resource knobs for a run; all bounds are inclusive.
+
+    ``max_level_cardinality`` is checked after each level-step task, so a
+    run that trips it may first hold the distinct children of up to one task
+    (``enumeration._TASK_PARENTS`` parents) beyond the bound, plus that
+    task's keys before deduplication.
+    """
 
     max_order: int = MAX_N
     max_level_cardinality: int = 5_000_000
@@ -94,6 +99,7 @@ def _iterate(spec: ProblemSpec, limits: RunLimits, level: LevelSet,
     times: dict[int, float] = {level.order: 0.0}
     workers = limits.worker_count
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
         while True:
             counts[level.order] = len(level)
             _write_checkpoint(level, spec, limits)
@@ -104,8 +110,6 @@ def _iterate(spec: ProblemSpec, limits: RunLimits, level: LevelSet,
                                  counts, times, resumed_from)
             if level.order >= limits.max_order:
                 return RunReport(spec, CAPPED, None, (), counts, times, resumed_from)
-            mapper = map if pool is None else partial(
-                pool.map, chunksize=max(1, len(level) // (workers * 8)))
             started = time.perf_counter()
             previous = level
             try:
@@ -193,7 +197,7 @@ def probe_conjecture(k_max: int, limits: RunLimits | None = None, *,
                 report = compute_number(spec, limits)
                 if reports is not None:
                     reports[spec] = report
-            target = complete_bipartite(i - 1, k + i - 1)
-            found = any(are_isomorphic(g, target) for g in report.extremals)
+            target = canonical_form(complete_bipartite(i - 1, k + i - 1))
+            found = target in {canonical_form(g) for g in report.extremals}
             cells.append(ProbeCell(k, i, report.value, report.extremal_count, found))
     return cells

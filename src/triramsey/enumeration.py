@@ -14,7 +14,10 @@ and P + p(N(w)) is G' with w as the new vertex; moving that set to its
 twin-prefix form is an automorphism of P, so it keeps every vertex's pair.
 Members are stored canonically labeled and sorted by key, so levels are
 byte-stable regardless of worker count or merge order: a child travels as
-its key alone, and each class is decoded once from it.
+its key alone, and each class is decoded once from it.  A step cuts its
+parents into runs of consecutive parents, one task each; a task extends its
+run and labels the children with ``canonical_forms`` a chunk at a time, so
+one numpy batch spans many parents.
 
 The forbidden-set test runs once per parent over all its remaining
 attachment sets at once: a table of the parent's k-sparse (j-1)-sets, each
@@ -37,7 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .canon import CanonKey, canonical_form, canonical_graph, decode_keys, twin_classes
+from .canon import CanonKey, canonical_forms, canonical_graph, decode_keys, twin_classes
 from .defect import (
     has_k_dense_set,
     has_k_dense_set_containing,
@@ -61,6 +64,11 @@ from .graphs import (
 #: and ``write_level`` decode, label and encode a level; the pattern, graph and
 #: subset axes are chunked to respect it.
 _BROADCAST_ELEMENTS = 1 << 16
+
+#: How many consecutive parents make one ``level_step`` task.  A task's
+#: children are labeled together, so its batches span parents; the number of
+#: tasks grows with the level, whatever the worker count.
+_TASK_PARENTS = 32
 
 
 @dataclass(frozen=True)
@@ -336,9 +344,17 @@ def reject_extension_slow(g: Graph, spec: ProblemSpec, s: VertexSet) -> bool:
     return False
 
 
-def _extend_entries(spec: ProblemSpec, adj: tuple[int, ...]) -> list[CanonKey]:
-    """Worker task: the canonical keys of the surviving children of the parent ``adj``."""
-    return [canonical_form(c) for c in extend_graph(Graph(len(adj), adj), spec)]
+def _extend_entries(spec: ProblemSpec, parents: list[tuple[int, ...]]) -> list[CanonKey]:
+    """Worker task: the canonical keys of the surviving children of the
+    parents (adjacency rows of one order), labeled ``_graphs_per_chunk``
+    children at a time whichever parents they come from."""
+    n = len(parents[0]) + 1
+    children = (c.adj for adj in parents for c in extend_graph(Graph(n - 1, adj), spec))
+    step = _graphs_per_chunk(n)
+    keys: list[CanonKey] = []
+    while chunk := list(islice(children, step)):
+        keys += canonical_forms(np.array(chunk, dtype=np.uint32).reshape(len(chunk), n))
+    return keys
 
 
 def level_at(spec: ProblemSpec, order: int) -> LevelSet:
@@ -357,15 +373,19 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
                max_cardinality: int | None = None) -> LevelSet:
     """Extend every member by one vertex and deduplicate the next level.
 
-    ``mapper(fn, tasks)`` runs the per-parent task, as the builtin ``map``
-    does in-process; the driver passes a process pool's ``map``.  Output is
-    identical for any mapper: tasks return only the canonical keys of the
+    ``mapper(fn, tasks)`` runs the tasks, as the builtin ``map`` does
+    in-process; the driver passes a process pool's ``map``.  A task is a run
+    of ``_TASK_PARENTS`` consecutive parents.  Output is identical for any
+    mapper and any cut: tasks return only the canonical keys of the
     children, the merge is a set of keys, and each class is decoded once
-    from its key, in key order, at the end.
+    from its key, in key order, at the end.  ``max_cardinality`` is checked
+    after each task.
     """
     next_order = level.order + 1
+    parents = [g.adj for _, g in level.members]
+    tasks = [parents[lo:lo + _TASK_PARENTS] for lo in range(0, len(parents), _TASK_PARENTS)]
     merged: set[CanonKey] = set()
-    for keys in mapper(partial(_extend_entries, spec), [g.adj for _, g in level.members]):
+    for keys in mapper(partial(_extend_entries, spec), tasks):
         merged.update(keys)
         if max_cardinality is not None and len(merged) > max_cardinality:
             raise LevelCardinalityExceeded(next_order, max_cardinality)

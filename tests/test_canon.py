@@ -60,20 +60,25 @@ def test_relabeling_examples():
     assert canonical_form(cycle(4)) != canonical_form(path(4))
 
 
+def labeled_keys(n: int) -> set[bytes]:
+    """The keys of every labeled graph of order n, labeled in one batch."""
+    return set(canonical_forms(row_array(list(all_labeled_graphs(n)), n)))
+
+
 def test_distinct_key_count_order_4():
-    keys = {canonical_form(g) for g in all_labeled_graphs(4)}
+    keys = labeled_keys(4)
     assert len(keys) == 11
     assert count_graph_classes(4) == 11
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_completeness_small_orders(n):
-    keys = {canonical_form(g) for g in all_labeled_graphs(n)}
+    keys = labeled_keys(n)
     assert len(keys) == count_graph_classes(n)
 
 
 def test_completeness_order_6():
-    keys = {canonical_form(g) for g in all_labeled_graphs(6)}
+    keys = labeled_keys(6)
     assert len(keys) == count_graph_classes(6) == 156
 
 
@@ -267,7 +272,8 @@ def test_refine_matches_round_based_reference():
         qadj = list(g.adj)
         partition = random_ordered_partition(rng, n)
         equitable = round_based_refine(qadj, partition)
-        assert _refine(qadj, partition) == equitable
+        every_cell = [sum(1 << x for x in cell) for cell in partition]
+        assert _refine(qadj, partition, every_cell) == equitable
         target = next((ci for ci, cell in enumerate(equitable) if len(cell) > 1), None)
         if target is None:
             continue
@@ -380,8 +386,15 @@ def test_encode_rows_matches_encode():
     ("r_1_4_7", lambda: relabeled(random.Random(20), level_members(ProblemSpec(k=1, j=7, i=4)))),
 ])
 def test_canonical_forms_match_canonical_form(name, graphs):
+    # ``_root_cells`` runs different rounds for a graph alone, in its order's
+    # whole batch and in a shuffled batch; the keys must not notice.
+    rng = random.Random(21)
     for n, group in by_order(graphs()).items():
-        assert canonical_forms(row_array(group, n)) == [canonical_form(g) for g in group], n
+        alone = [canonical_form(g) for g in group]
+        assert canonical_forms(row_array(group, n)) == alone, n
+        shuffle = rng.sample(range(len(group)), len(group))
+        assert (canonical_forms(row_array([group[at] for at in shuffle], n))
+                == [alone[at] for at in shuffle]), n
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -227,10 +227,10 @@ KILL_A_WORKER_IN_RUN = textwrap.dedent("""
 
     extend = enumeration._extend_entries
 
-    def dying(spec, adj):
-        if len(adj) == 6:  # a parent of order 6
+    def dying(spec, parents):
+        if len(parents[0]) == 6:  # parents of order 6
             os._exit(1)
-        return extend(spec, adj)
+        return extend(spec, parents)
 
     enumeration._extend_entries = dying
 

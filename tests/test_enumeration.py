@@ -190,6 +190,27 @@ def test_level_step_decodes_in_chunks(monkeypatch, bound):
     assert all(g == decode_key(key) for key, g in chunked.members)
 
 
+@pytest.mark.parametrize("cut", ["one task", "a task per parent"])
+def test_level_step_agrees_for_any_task_cut(monkeypatch, cut):
+    # The children of one task are labeled together, so the cut decides
+    # which graphs share a batch; the level must not depend on it.
+    spec = ProblemSpec(k=1, j=6)
+    level = level_at(spec, 8)
+    whole = level_step(level, spec)
+    monkeypatch.setattr(enumeration, "_TASK_PARENTS", len(level) if cut == "one task" else 1)
+    cuts = []
+
+    def counting(fn, tasks):
+        tasks = list(tasks)
+        cuts.append([len(task) for task in tasks])
+        return map(fn, tasks)
+
+    assert level_step(level, spec, mapper=counting) == whole
+    assert cuts == [[len(level)] if cut == "one task" else [1] * len(level)]
+    with ProcessPoolExecutor(2) as pool:
+        assert level_step(level, spec, mapper=pool.map) == whole
+
+
 KILL_ONE_WORKER = textwrap.dedent("""
     import os
     from concurrent.futures import ProcessPoolExecutor
@@ -199,10 +220,10 @@ KILL_ONE_WORKER = textwrap.dedent("""
 
     extend = enumeration._extend_entries
 
-    def dying(spec, adj):
-        if repr(adj) == os.environ.get("DIE_ON"):
+    def dying(spec, parents):
+        if repr(parents[0]) == os.environ.get("DIE_ON"):
             os._exit(1)
-        return extend(spec, adj)
+        return extend(spec, parents)
 
     enumeration._extend_entries = dying
 
@@ -238,6 +259,27 @@ def test_cardinality_guard():
     level = level_at(spec, 6)
     with pytest.raises(LevelCardinalityExceeded):
         level_step(level, spec, max_cardinality=3)
+
+
+def test_cardinality_guard_trips_within_one_task():
+    # Partway through a level of many tasks: the step stops at the first task
+    # whose children carry the merge past the bound, so it overshoots by at
+    # most one task's children.
+    spec = ProblemSpec(k=1, j=7)
+    level = level_at(spec, 8)
+    bound = 700  # of the 1,511 classes of order 9
+    ran = []
+
+    def lazy(fn, tasks):
+        for task in tasks:
+            assert len(task) <= enumeration._TASK_PARENTS
+            ran.append(set(fn(task)))
+            yield ran[-1]
+
+    with pytest.raises(LevelCardinalityExceeded):
+        level_step(level, spec, mapper=lazy, max_cardinality=bound)
+    assert 1 < len(ran) < -(-len(level) // enumeration._TASK_PARENTS)
+    assert len(set().union(*ran[:-1])) <= bound < len(set().union(*ran))
 
 
 def test_membership_independent_of_kernels():
