@@ -8,7 +8,7 @@ the total order used for deduplication and stable file output.  The key is
 the whole class: ``decode_key`` rebuilds the canonically labeled
 representative from it, so no relabeled graph is ever carried beside a key.
 
-The labeling is found by equitable partition refinement plus backtracking
+The labeling is found by equitable partition refinement plus
 individualization.  Vertices with identical neighborhoods (false twins) are
 collapsed into weighted classes first; twins are interchangeable in any
 labeling, so searching over classes loses nothing and keeps the blow-up and
@@ -21,8 +21,9 @@ wins.
 ``canonical_forms`` is the only labeling, of a whole array of same-order
 graphs: it runs the root refinement for all of them in numpy, encodes the
 single leaf of every graph whose root cells are its twin classes, and
-searches the rest from the root cells it already has.  ``canonical_form``
-labels a batch of one.
+searches the rest from the root cells it already has, breadth first, every
+open search node of every graph refined in the same numpy rounds as the
+roots (``_refine_cells``).  ``canonical_form`` labels a batch of one.
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DecodeError
-from .graphs import MAX_N, Graph, adjacency_matrices, matrix_rows, upper_pairs
+from .graphs import (
+    MAX_N,
+    Graph,
+    _graphs_per_chunk,
+    matrix_rows,
+    row_array,
+    upper_pairs,
+)
 
 #: Total-order canonical encoding of a graph; byte-compare gives the order.
 CanonKey = bytes
@@ -57,85 +65,14 @@ def twin_classes(g: Graph) -> list[list[int]]:
     return classes
 
 
-def _refine(qadj: list[int], partition: list[list[int]], fresh: list[int]) -> list[list[int]]:
-    """Split cells by neighbor counts until stable, against fresh splitters only.
-
-    ``fresh`` lists the cell masks, in partition order, whose counts may still
-    differ inside a cell; the search passes the vertex it just
-    individualized.  After a round, the members of each cell agree on their
-    counts into every cell that existed when the round began, and the last
-    piece of a split cell has the count the other pieces leave over.  So the
-    next round counts only into the other pieces of the cells just split:
-    within one cell that shorter tuple orders exactly as the full one, and
-    the cells come out as the round-based refinement against every cell
-    lists them.
-    """
-    while fresh:
-        refined: list[list[int]] = []
-        split: list[int] = []
-        for cell in partition:
-            if len(cell) == 1:
-                refined.append(cell)
-                continue
-            # The count tuple packed six bits a count (counts stay below
-            # MAX_N): integers of one length order as the tuples do.
-            buckets: dict[int, list[int]] = {}
-            for x in cell:
-                row = qadj[x]
-                sig = 0
-                for m in fresh:
-                    sig = sig << 6 | (row & m).bit_count()
-                if sig in buckets:
-                    buckets[sig].append(x)
-                else:
-                    buckets[sig] = [x]
-            if len(buckets) == 1:
-                refined.append(cell)
-                continue
-            pieces = [buckets[sig] for sig in sorted(buckets)]
-            refined.extend(pieces)
-            split.extend(_mask(piece) for piece in pieces[:-1])
-        partition = refined
-        fresh = split
-    return partition
-
-
-def _mask(cell: list[int]) -> int:
-    m = 0
-    for x in cell:
-        m |= 1 << x
-    return m
-
-
-def _encode(n: int, rows: tuple[int, ...], order: list[int]) -> bytes:
-    """Key of ``rows`` relabeled so that ``order[a]`` becomes vertex a."""
-    place = [0] * n
-    for a, v in enumerate(order):
-        place[v] = 1 << (n - 1 - a)
-    # Row a contributes its bits towards the vertices placed after it.
-    later = (1 << n) - 1
-    bits = 0
-    for v in order:
-        later ^= 1 << v
-        row = rows[v] & later
-        relabeled = 0
-        while row:
-            low = row & -row
-            relabeled |= place[low.bit_length() - 1]
-            row ^= low
-        bits = bits << later.bit_count() | relabeled
-    nbits = n * (n - 1) // 2
-    bits <<= -nbits % 8
-    return bytes([n]) + bits.to_bytes((nbits + 7) // 8, "big")
-
-
 def _encode_rows(rows: np.ndarray, orders: np.ndarray) -> list[CanonKey]:
-    """``_encode`` of every graph of a (graphs x n) row array at once: the key
-    of ``rows[g]`` relabeled so that ``orders[g, a]`` becomes vertex a."""
+    """The key of every graph of a (graphs x n) row array relabeled so that
+    ``orders[g, a]`` becomes vertex a of ``rows[g]``."""
     m, n = rows.shape
-    matrices = np.take_along_axis(adjacency_matrices(rows), orders[:, :, None], axis=1)
-    matrices = np.take_along_axis(matrices, orders[:, None, :], axis=2)
-    body = np.packbits(matrices[:, upper_pairs(n)], axis=1)
+    first, second = np.triu_indices(n, 1)  # the pairs a < b, by a and then by b
+    # Pair (a, b) is an edge when row orders[g, a] holds orders[g, b].
+    bits = np.take_along_axis(rows, orders[:, first], axis=1) >> orders[:, second].astype(rows.dtype) & 1
+    body = np.packbits(bits.astype(bool), axis=1)
     blob = np.hstack([np.full((m, 1), n, dtype=np.uint8), body]).tobytes()
     width = 1 + body.shape[1]
     return [blob[at:at + width] for at in range(0, len(blob), width)]
@@ -143,7 +80,7 @@ def _encode_rows(rows: np.ndarray, orders: np.ndarray) -> list[CanonKey]:
 
 def canonical_form(g: Graph) -> CanonKey:
     """Relabeling-invariant key; equal keys <=> isomorphic graphs (``canonical_forms`` of one)."""
-    return canonical_forms(np.array(g.adj, dtype=np.uint32).reshape(1, g.order))[0]
+    return canonical_forms(row_array([g.adj], g.order))[0]
 
 
 def canonical_forms(rows: np.ndarray) -> list[CanonKey]:
@@ -152,74 +89,84 @@ def canonical_forms(rows: np.ndarray) -> list[CanonKey]:
     The root refinement runs for all graphs at once (``_root_cells``).  A
     graph whose root cells are its twin classes has a single leaf, so its
     key is that leaf's, encoded for all such graphs at once; every other
-    graph is searched from its root cells (``_search``).
+    graph is searched from its root cells, all of them together
+    (``_smallest_leaves``).
     """
     cells, leaf = _root_cells(rows)
     keys: list[CanonKey] = [b""] * len(rows)
     single = np.flatnonzero(leaf)
-    # Cell by cell, each twin class in ascending vertex order, as the leaf lists them.
-    orders = np.argsort(cells[single], axis=1, kind="stable")
-    for g, key in zip(single.tolist(), _encode_rows(rows[single], orders)):
+    for g, key in zip(single.tolist(), _encode_rows(rows[single], _leaf_orders(cells[single]))):
         keys[g] = key
-    for g in np.flatnonzero(~leaf).tolist():
-        keys[g] = _search(tuple(rows[g].tolist()), cells[g].tolist())
+    searched = np.flatnonzero(~leaf)
+    for g, key in zip(searched.tolist(), _smallest_leaves(rows[searched], cells[searched])):
+        keys[g] = key
     return keys
 
 
-def _search(rows: tuple[int, ...], cells: list[int]) -> CanonKey:
-    """The smallest leaf key of the graph with adjacency ``rows``, searched
-    on its twin quotient from the equitable root partition ``cells`` (each
-    vertex's root cell, numbered in partition order, as ``_root_cells``
-    gives them).  Each cell lists its classes by ascending first member.
+def _leaf_orders(cells: np.ndarray) -> np.ndarray:
+    """The vertex order of each leaf: cell by cell, each twin class in
+    ascending vertex order."""
+    return np.argsort(cells, axis=1, kind="stable")
+
+
+def _smallest_leaves(rows: np.ndarray, cells: np.ndarray) -> list[CanonKey]:
+    """The smallest leaf key of every graph of a (graphs x n) uint32 row
+    array, searched from its equitable cells (each vertex's cell, numbered in
+    partition order, as ``_root_cells`` gives them).
+
+    The search tree is walked breadth first, one level of every graph's
+    tree at a time: the frontier holds every open node of every graph.  A
+    round individualizes each node (``_individualize``), refines all the
+    children together (``_refine_cells``), ``_graphs_per_chunk`` nodes at a
+    time, and encodes every child whose cells are its twin classes, a leaf,
+    keeping each graph's smallest key; the other children are the next
+    frontier.  The smallest key over all leaves does not depend on the
+    order in which they are visited.
     """
-    n = len(rows)
-    classes = twin_classes(Graph(n, rows))
-    if len(classes) == n:
-        qadj = list(rows)
-    else:
-        # Twins share their row, so a class is adjacent to r iff its
-        # representative is.
-        index = {cell[0]: c for c, cell in enumerate(classes)}
-        rep_mask = 0
-        for r in index:
-            rep_mask |= 1 << r
-        qadj = []
-        for cell in classes:
-            row = rows[cell[0]] & rep_mask
-            qrow = 0
-            while row:
-                low = row & -row
-                qrow |= 1 << index[low.bit_length() - 1]
-                row ^= low
-            qadj.append(qrow)
+    m, n = rows.shape
+    if not m:
+        return []
+    first = (rows[:, :, None] == rows[:, None, :]).argmax(axis=2)  # each vertex's class
+    classes = (first == np.arange(n)).sum(axis=1)
+    best: list[CanonKey | None] = [None] * m
+    graph, count = np.arange(m), cells.max(axis=1) + 1
+    step = _graphs_per_chunk(n)
+    while graph.size:
+        parent, cells = _individualize(cells, first[graph])
+        graph, count = graph[parent], count[parent] + 1
+        for lo in range(0, graph.size, step):
+            at = slice(lo, lo + step)
+            _refine_cells(rows[graph[at]], cells[at], count[at], classes[graph[at]])
+        leaf = count == classes[graph]
+        found, orders = graph[leaf], _leaf_orders(cells[leaf])
+        for lo in range(0, found.size, step):
+            keys = _encode_rows(rows[found[lo:lo + step]], orders[lo:lo + step])
+            for g, key in zip(found[lo:lo + step].tolist(), keys):
+                if best[g] is None or key < best[g]:
+                    best[g] = key
+        graph, cells, count = graph[~leaf], cells[~leaf], count[~leaf]
+    return best
 
-    root: list[list[int]] = [[] for _ in range(max(cells) + 1)]
-    for c, cell in enumerate(classes):
-        root[cells[cell[0]]].append(c)
-    best_key: bytes | None = None
 
-    def search(part: list[list[int]]) -> None:
-        nonlocal best_key
-        target = -1
-        for ci, cell in enumerate(part):
-            if len(cell) > 1:
-                target = ci
-                break
-        if target < 0:
-            order = [v for cell in part for v in classes[cell[0]]]
-            key = _encode(n, rows, order)
-            if best_key is None or key < best_key:
-                best_key = key
-            return
-        cell = part[target]
-        for x in cell:
-            rest = [y for y in cell if y != x]
-            trial = part[:target] + [[x], rest] + part[target + 1:]
-            # ``part`` is equitable, so only the new singleton can split a cell.
-            search(_refine(qadj, trial, [1 << x]))
+def _individualize(cells: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every child of every search node (a row of ``cells``, each vertex's
+    cell; ``first`` holds each vertex's first twin): each child's node and
+    its cells, before refinement.
 
-    search(root)
-    return best_key
+    A node's target is its first cell holding more than one twin class.  It
+    has one child per class of the target, in which the class keeps the
+    target's number, the rest of the target takes the next, and every later
+    cell moves up by one.
+    """
+    nodes, n = cells.shape
+    opens = first == np.arange(n)  # a vertex opens its class
+    held = np.bincount((np.arange(nodes)[:, None] * n + cells)[opens],
+                       minlength=nodes * n).reshape(nodes, n)
+    target = (held > 1).argmax(axis=1)[:, None]
+    parent, chosen = np.nonzero(opens & (cells == target))
+    children, at = cells[parent], target[parent]
+    children += (children > at) | ((children == at) & (first[parent] != chosen[:, None]))
+    return parent, children
 
 
 def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,13 +176,7 @@ def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     classes.
 
     The root partition is the twin quotient's class-size partition, refined
-    round by round, each round splitting every cell by its members' counts
-    into every cell.  Twins share their row, so they never part, and every
-    class in a cell has the same size; a vertex's count into a cell is that
-    size times its class's count, which orders the members of a cell as the
-    quotient's counts do.  So the rounds run here on the vertices: each
-    splits every cell by the rank of (cell, counts into every cell), until a
-    graph's round splits nothing or its cells are its classes.
+    by ``_refine_cells``.
     """
     m, n = rows.shape
     if not n:
@@ -243,19 +184,42 @@ def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     twins = rows[:, :, None] == rows[:, None, :]
     # A vertex opens its class when its first twin is itself.
     classes = (twins.argmax(axis=2) == np.arange(n)).sum(axis=1)
-    cells, count = _rank([twins.sum(axis=2)])
+    cells, count = _refine_cells(rows, *_rank([twins.sum(axis=2)]), classes)
+    return cells, count == classes
+
+
+def _refine_cells(rows: np.ndarray, cells: np.ndarray, count: np.ndarray,
+                  classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Refine, in place, the cells of every graph of a (graphs x n) uint32
+    row array (each vertex's cell, numbered in partition order; every cell a
+    union of twin classes of one size), ``count`` cells out of ``classes``
+    twin classes, and return the cells and their count.
+
+    The refinement is the twin quotient's, round by round, each round
+    splitting every cell by its members' counts into every cell.  Twins
+    share their row, so they never part, and every class in a cell has the
+    same size; a vertex's count into a cell is that size times its class's
+    count, which orders the members of a cell as the quotient's counts do.
+    So the rounds run here on the vertices: each splits every cell by the
+    rank of (cell, counts into every cell), until a graph's round splits
+    nothing or its cells are its classes.
+    """
+    n = rows.shape[1]
     width = n.bit_length()  # bits per packed field: cells and counts are below n
+    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
     active = np.flatnonzero(count < classes)
     while active.size:
         part, sub = cells[active], rows[active]
-        masks = matrix_rows(part[:, None, :] == np.arange(count[active].max())[:, None])
+        # Each cell's vertex mask: the sum of its members' bits.
+        masks = np.zeros((len(active), count[active].max()), dtype=np.uint32)
+        np.add.at(masks, (np.arange(len(active))[:, None], part), bits)
         counts = [np.bitwise_count(sub & mask[:, None]) for mask in masks.T]
         refined, split = _rank(_pack([part] + counts, width))
         grew = split > count[active]
         cells[active] = refined
         count[active] = split
         active = active[grew & (split < classes[active])]
-    return cells, count == classes
+    return cells, count
 
 
 def _pack(fields: list[np.ndarray], width: int) -> list[np.ndarray]:
@@ -276,13 +240,14 @@ def _rank(words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Per graph (row), each vertex's rank among the graph's distinct keys,
     keys compared word by word, and the number of distinct keys."""
     order = np.lexsort(words[::-1], axis=1)
+    graph = np.arange(len(order))[:, None]
     new = np.zeros(order.shape, dtype=bool)
     for word in words:
-        ranked = np.take_along_axis(word, order, axis=1)
+        ranked = word[graph, order]
         new[:, 1:] |= ranked[:, 1:] != ranked[:, :-1]
     ranks = np.cumsum(new, axis=1)
     out = np.empty_like(ranks)
-    np.put_along_axis(out, order, ranks, axis=1)
+    out[graph, order] = ranks
     return out, ranks[:, -1] + 1
 
 

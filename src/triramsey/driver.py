@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canon import canonical_form
+from .canon import canonical_form, canonical_forms
 from .enumeration import (
     LevelCardinalityExceeded,
     LevelSet,
@@ -27,7 +27,7 @@ from .enumeration import (
 )
 from .errors import ConstructionError, IntegrityError
 from .formats import check_spec_match, level_filename, read_level, write_level
-from .graphs import MAX_N, Graph, complete_bipartite
+from .graphs import MAX_N, Graph, complete_bipartite, row_array
 
 COMPLETED = "completed"
 CAPPED = "capped"
@@ -197,7 +197,9 @@ def probe_conjecture(k_max: int, limits: RunLimits | None = None, *,
                 report = compute_number(spec, limits)
                 if reports is not None:
                     reports[spec] = report
-            target = canonical_form(complete_bipartite(i - 1, k + i - 1))
-            found = target in {canonical_form(g) for g in report.extremals}
+            target = complete_bipartite(i - 1, k + i - 1)
+            # Extremals all have the run's order; another order holds no copy of the target.
+            same = [g.adj for g in report.extremals if g.order == target.order]
+            found = canonical_form(target) in canonical_forms(row_array(same, target.order))
             cells.append(ProbeCell(k, i, report.value, report.extremal_count, found))
     return cells

@@ -47,23 +47,19 @@ from .defect import (
     has_k_sparse_set,
     has_k_sparse_set_containing,
 )
+from . import graphs as graph_module
 from .errors import ConstructionError
 from .graphs import (
     Graph,
     VertexSet,
+    _graphs_per_chunk,
     add_vertex,
     complement,
     find_triangle,
     independent_set_masks,
+    row_array,
     single_vertex,
 )
-
-#: Upper bound on the elements of one (attachment sets x patterns) broadcast
-#: in the forbidden-set filter, of every temporary of ``first_nonmember``, and
-#: of the (graphs x n x n) temporaries in which ``level_step``, ``read_level``
-#: and ``write_level`` decode, label and encode a level; the pattern, graph and
-#: subset axes are chunked to respect it.
-_BROADCAST_ELEMENTS = 1 << 16
 
 #: How many consecutive parents make one ``level_step`` task.  A task's
 #: children are labeled together, so its batches span parents; the number of
@@ -184,7 +180,7 @@ def _completes(attach: np.ndarray, rows: tuple[int, ...], k: int, size: int) -> 
     saturated = np.where(member[keep] & (degree[keep] == k), bits, 0).sum(axis=1)
     subsets = subsets[keep]
     col = attach[:, None]
-    step = max(1, _BROADCAST_ELEMENTS // len(attach))
+    step = max(1, graph_module._BROADCAST_ELEMENTS // len(attach))
     for lo in range(0, len(subsets), step):
         hit = ((col & saturated[lo:lo + step]) == 0) & (
             np.bitwise_count(col & subsets[lo:lo + step]) <= k)
@@ -199,31 +195,26 @@ def _has_sparse_set(rows: np.ndarray, k: int, size: int) -> np.ndarray:
 
     Subsets are decided one member position at a time, gathering that
     member's row for every subset, so each temporary is (graphs x subsets)
-    and stays within ``_BROADCAST_ELEMENTS``: as many graphs as fit, or a
+    and stays within ``graphs._BROADCAST_ELEMENTS``: as many graphs as fit, or a
     single graph over chunks of the subset axis once C(n, size) alone passes
     the bound.
     """
     members, masks = _subset_table(rows.shape[1], size)
     masks = masks.astype(np.uint32)
     found = np.zeros(len(rows), dtype=bool)
-    graphs = max(1, _BROADCAST_ELEMENTS // max(1, len(masks)))
+    bound = graph_module._BROADCAST_ELEMENTS
+    graphs = max(1, bound // max(1, len(masks)))
     for at in range(0, len(rows), graphs):
         chunk = rows[at:at + graphs]
-        for lo in range(0, len(masks), _BROADCAST_ELEMENTS):
-            subsets = masks[lo:lo + _BROADCAST_ELEMENTS]
+        for lo in range(0, len(masks), bound):
+            subsets = masks[lo:lo + bound]
             sparse = np.ones((len(chunk), len(subsets)), dtype=bool)
-            for position in members[:, lo:lo + _BROADCAST_ELEMENTS]:
+            for position in members[:, lo:lo + bound]:
                 rows_in = np.take(chunk, position, axis=1)
                 rows_in &= subsets
                 sparse &= np.bitwise_count(rows_in) <= k
             found[at:at + graphs] |= sparse.any(axis=1)
     return found
-
-
-def _graphs_per_chunk(n: int) -> int:
-    """How many graphs of order n one chunk takes, so that a (graphs x n x n)
-    temporary stays within ``_BROADCAST_ELEMENTS``."""
-    return max(1, _BROADCAST_ELEMENTS // max(1, n * n))
 
 
 def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
@@ -232,7 +223,7 @@ def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
 
     The verdicts are ``verify_membership``'s, reached without witnesses in
     numpy passes over chunks of graphs, each temporary within
-    ``_BROADCAST_ELEMENTS`` elements: a triangle is an edge u~w whose rows
+    ``graphs._BROADCAST_ELEMENTS`` elements: a triangle is an edge u~w whose rows
     share a bit, a k-sparse j-set is a j-subset whose members all have at
     most k neighbours in it, and a k-dense i-set is the same in the
     complement rows.
@@ -250,7 +241,7 @@ def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
         chunk = list(islice(graphs, step))
         if not chunk:
             return None
-        rows = np.array([g.adj for g in chunk], dtype=np.uint32).reshape(len(chunk), n)
+        rows = row_array([g.adj for g in chunk], n)
         cols = rows[:, :, None]
         bad = (((cols & bits) != 0) & ((cols & rows[:, None, :]) != 0)).any(axis=(1, 2))
         bad |= _has_sparse_set(rows, spec.k, spec.j)
@@ -353,7 +344,7 @@ def _extend_entries(spec: ProblemSpec, parents: list[tuple[int, ...]]) -> list[C
     step = _graphs_per_chunk(n)
     keys: list[CanonKey] = []
     while chunk := list(islice(children, step)):
-        keys += canonical_forms(np.array(chunk, dtype=np.uint32).reshape(len(chunk), n))
+        keys += canonical_forms(row_array(chunk, n))
     return keys
 
 

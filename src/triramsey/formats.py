@@ -14,7 +14,7 @@ Both codecs have one implementation each, a numpy kernel over a (graphs x n)
 array of adjacency rows; ``graph6_encode`` and ``graph6_decode`` validate one
 graph or line and call it on a batch of one.  ``write_level`` and
 ``read_level`` run a level through the kernels, and through the batched
-labeling, in chunks of ``enumeration._graphs_per_chunk`` graphs.
+labeling, in chunks of ``graphs._graphs_per_chunk`` graphs.
 """
 
 from __future__ import annotations
@@ -27,9 +27,17 @@ import numpy as np
 
 from .canon import canonical_forms, decode_keys
 from .canon import canonical_graph  # noqa: F401  (perfbench/tracing.py swaps this name for a timed wrapper)
-from .enumeration import LevelSet, ProblemSpec, _graphs_per_chunk
+from .enumeration import LevelSet, ProblemSpec
 from .errors import CapacityError, DecodeError, IntegrityError, SpecConflictError
-from .graphs import MAX_N, Graph, adjacency_matrices, matrix_rows, upper_pairs
+from .graphs import (
+    MAX_N,
+    Graph,
+    _graphs_per_chunk,
+    adjacency_matrices,
+    matrix_rows,
+    row_array,
+    upper_pairs,
+)
 
 _LEVEL_MAGIC = "tfree-level 1"
 _REPORT_MAGIC = "run-report 1"
@@ -39,11 +47,11 @@ def graph6_encode(g: Graph) -> str:
     n = g.order
     if n > 62:
         raise CapacityError("single-byte graph6 size form supports order <= 62")
-    return _graph6_lines(np.array(g.adj, dtype=np.uint64).reshape(1, n))[0]
+    return _graph6_lines(row_array([g.adj], n))[0]
 
 
 def _graph6_lines(rows: np.ndarray) -> list[str]:
-    """The graph6 line of every graph of a (graphs x n) uint64 row array."""
+    """The graph6 line of every graph of a (graphs x n) row array."""
     m, n = rows.shape
     # x(u, v) for u < v in sequence order, by v and then by u: the lower
     # triangle, row by row.
@@ -122,7 +130,7 @@ def write_level(level: LevelSet, spec: ProblemSpec, destination) -> None:
     step = _graphs_per_chunk(level.order)
     for lo in range(0, len(level), step):
         chunk = [g.adj for _, g in level.members[lo:lo + step]]
-        body.extend(_graph6_lines(np.array(chunk, dtype=np.uint64).reshape(len(chunk), level.order)))
+        body.extend(_graph6_lines(row_array(chunk, level.order)))
     lines = [_LEVEL_MAGIC]
     lines.extend(_spec_fields(spec))
     lines.append(f"order {level.order}")

@@ -12,7 +12,7 @@ travel as (graphs x n) numpy arrays of rows; ``adjacency_matrices`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,14 @@ MAX_N = 32
 
 #: A set of vertices encoded as an int bitmask (bit v <=> vertex v present).
 VertexSet = int
+
+#: Upper bound on the elements of one numpy temporary in the batch paths: the
+#: (attachment sets x patterns) broadcast of the forbidden-set filter, every
+#: temporary of ``enumeration.first_nonmember``, and the (graphs x n x n)
+#: temporaries in which levels are decoded, labeled and encoded and in which
+#: ``canon.canonical_forms`` refines its search nodes; the pattern, graph,
+#: node and subset axes are chunked to respect it.
+_BROADCAST_ELEMENTS = 1 << 16
 
 
 def vertex_set(vertices: Iterable[int]) -> VertexSet:
@@ -113,6 +121,18 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(order, tuple(rows))
+
+
+def _graphs_per_chunk(n: int) -> int:
+    """How many graphs of order n one chunk takes, so that a (graphs x n x n)
+    temporary stays within ``_BROADCAST_ELEMENTS``."""
+    return max(1, _BROADCAST_ELEMENTS // max(1, n * n))
+
+
+def row_array(adjacency: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """The (graphs x n) uint32 row array of the adjacency rows of graphs of
+    order n (``Graph.adj`` each)."""
+    return np.array(adjacency, dtype=np.uint32).reshape(len(adjacency), n)
 
 
 def adjacency_matrices(rows: np.ndarray) -> np.ndarray:

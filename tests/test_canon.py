@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,14 +31,15 @@ from triramsey import (
     validate_graph,
 )
 from triramsey.canon import (
-    _encode,
     _encode_rows,
-    _refine,
+    _individualize,
+    _refine_cells,
     _root_cells,
     canonical_forms,
     decode_keys,
     twin_classes,
 )
+from triramsey.graphs import _graphs_per_chunk
 from triramsey.oracle import brute_isomorphic, count_graph_classes
 
 from .conftest import petersen, random_graph, random_permutation, random_triangle_free
@@ -47,6 +49,29 @@ def all_labeled_graphs(n: int):
     slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(slots)):
         yield build_graph(n, [slots[e] for e in range(len(slots)) if mask >> e & 1])
+
+
+def _encode(n: int, rows: tuple[int, ...], order: list[int]) -> bytes:
+    """Frozen reference: the key of ``rows`` relabeled so that ``order[a]``
+    becomes vertex a, built bit by bit."""
+    place = [0] * n
+    for a, v in enumerate(order):
+        place[v] = 1 << (n - 1 - a)
+    # Row a contributes its bits towards the vertices placed after it.
+    later = (1 << n) - 1
+    bits = 0
+    for v in order:
+        later ^= 1 << v
+        row = rows[v] & later
+        relabeled = 0
+        while row:
+            low = row & -row
+            relabeled |= place[low.bit_length() - 1]
+            row ^= low
+        bits = bits << later.bit_count() | relabeled
+    nbits = n * (n - 1) // 2
+    bits <<= -nbits % 8
+    return bytes([n]) + bits.to_bytes((nbits + 7) // 8, "big")
 
 
 def brute_min_key(g: Graph) -> bytes:
@@ -172,6 +197,16 @@ def lcf(n: int, shifts: list[int]) -> Graph:
 
 MCGEE = lcf(24, [12, 7, -7] * 8)  # triangle-free, |Aut| = 32, not vertex-transitive
 FRUCHT = lcf(12, [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2])  # |Aut| = 1
+# The folded 5-cube: 4-bit vertices, adjacent when they differ in one bit or in all four.
+CLEBSCH = build_graph(16, [(u, v) for u in range(16) for v in range(u + 1, 16)
+                           if (u ^ v).bit_count() == 1 or u ^ v == 15])
+
+
+def nx_graph(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges())
+    return h
 
 
 @pytest.mark.parametrize("g", [MCGEE, FRUCHT], ids=["mcgee", "frucht"])
@@ -183,6 +218,33 @@ def test_relabeling_invariance_beyond_orbit_partitions(g):
     key = canonical_form(g)
     for _ in range(20):
         assert canonical_form(permute(g, random_permutation(rng, g.order))) == key
+
+
+def test_clebsch_graph():
+    h = nx_graph(CLEBSCH)
+    assert sum(nx.triangles(h).values()) == 0
+    automorphisms = list(nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+    assert len(automorphisms) == 1920
+    assert {a[0] for a in automorphisms} == set(range(16))  # vertex-transitive
+
+
+@pytest.mark.parametrize("per_chunk", [None, 16], ids=["whole", "chunked"])
+@pytest.mark.parametrize("g", [CLEBSCH, MCGEE, petersen()], ids=["clebsch", "mcgee", "petersen"])
+def test_wide_search_trees(monkeypatch, g, per_chunk):
+    # No twins and a single root cell: the search tree has at least |Aut|
+    # leaves per graph (1920, 32 and 120), so a batch of 20 relabelings puts
+    # hundreds of nodes in one frontier.  Shrinking the bound to 16 nodes a
+    # chunk cuts every round into many chunks; no key may notice.
+    n = g.order
+    key = canonical_form(g)
+    if per_chunk is not None:
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", per_chunk * n * n)
+        assert _graphs_per_chunk(n) == per_chunk
+    rng = random.Random(22)
+    copies = [permute(g, random_permutation(rng, n)) for _ in range(20)]
+    assert [canonical_forms(row_array([c], n))[0] for c in copies] == [key] * 20
+    assert canonical_forms(row_array(copies, n)) == [key] * 20
+    assert nx.is_isomorphic(nx_graph(decode_key(key)), nx_graph(g))
 
 
 def test_key_layout():
@@ -259,9 +321,19 @@ def random_ordered_partition(rng: random.Random, n: int) -> list[list[int]]:
     return [vertices[a:b] for a, b in zip([0] + cuts, cuts + [n])]
 
 
+def vertex_cells(partition: list[list[int]], n: int) -> np.ndarray:
+    """Each vertex's cell index in an ordered partition of range(n)."""
+    cells = np.zeros(n, dtype=np.int64)
+    for c, cell in enumerate(partition):
+        cells[cell] = c
+    return cells
+
+
 def test_refine_matches_round_based_reference():
     # The cell order decides which leaves the search visits, so it must match
-    # exactly, at the root and after every individualization.
+    # exactly, from any ordered partition and after every individualization.
+    # Every vertex is treated as its own class, so the refinement stops only
+    # where the reference does.
     rng = random.Random(16)
     for trial in range(600):
         n = 1 + trial % 16
@@ -270,19 +342,29 @@ def test_refine_matches_round_based_reference():
         else:
             g = random_graph(rng, n, p=rng.choice([0.15, 0.3, 0.5, 0.7]))
         qadj = list(g.adj)
+        rows = row_array([g], n)
         partition = random_ordered_partition(rng, n)
         equitable = round_based_refine(qadj, partition)
-        every_cell = [sum(1 << x for x in cell) for cell in partition]
-        assert _refine(qadj, partition, every_cell) == equitable
+        cells, count = _refine_cells(rows, vertex_cells(partition, n)[None, :],
+                                     np.array([len(partition)]), np.array([n]))
+        assert batch_root(cells[0]) == [sorted(cell) for cell in equitable]
+        assert count.tolist() == [len(equitable)]
         target = next((ci for ci, cell in enumerate(equitable) if len(cell) > 1), None)
         if target is None:
             continue
         cell = equitable[target]
-        for x in cell:
-            individualized = (equitable[:target] + [[x], [y for y in cell if y != x]]
-                              + equitable[target + 1:])
-            assert (_refine(qadj, individualized, [1 << x])
-                    == round_based_refine(qadj, individualized))
+        individualized = [equitable[:target] + [[x], [y for y in cell if y != x]] + equitable[target + 1:]
+                          for x in sorted(cell)]
+        parent, children = _individualize(cells, np.arange(n)[None, :])
+        assert parent.tolist() == [0] * len(cell)
+        assert children.tolist() == [vertex_cells(p, n).tolist() for p in individualized]
+        # All individualizations refined in one batch, as the search does.
+        children, count = _refine_cells(np.repeat(rows, len(cell), axis=0), children,
+                                        np.full(len(cell), len(equitable) + 1), np.full(len(cell), n))
+        for child, split, p in zip(children, count, individualized):
+            reference = round_based_refine(qadj, p)
+            assert batch_root(child) == [sorted(c) for c in reference]
+            assert split == len(reference)
 
 
 def golden_corpus() -> list[Graph]:

@@ -30,6 +30,7 @@ from triramsey import (
 )
 from triramsey import enumeration
 from triramsey.enumeration import reject_extension_slow, surviving_extension_sets
+from triramsey.graphs import _graphs_per_chunk
 from triramsey.oracle import (
     brute_has_k_dense_set,
     brute_has_k_sparse_set,
@@ -184,9 +185,9 @@ def test_level_step_decodes_in_chunks(monkeypatch, bound):
     # chunk; each class is still the graph decode_key rebuilds.
     spec = ProblemSpec(k=1, j=5)
     whole = level_at(spec, 8)
-    monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", bound)
+    monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", bound)
     chunked = level_at(spec, 8)
-    assert chunked == whole and len(chunked) > enumeration._graphs_per_chunk(8)
+    assert chunked == whole and len(chunked) > _graphs_per_chunk(8)
     assert all(g == decode_key(key) for key, g in chunked.members)
 
 
@@ -318,7 +319,7 @@ def test_first_nonmember_matches_both_references(seed, monkeypatch):
     in many chunks."""
     rng = random.Random(seed)
     if seed % 2:
-        monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", rng.choice([1, 5, 40, 300]))
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", rng.choice([1, 5, 40, 300]))
     for n in range(1, 13):
         graphs = [random_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.8])) for _ in range(3)]
         graphs += [random_triangle_free(rng, n, rng.randint(0, 3 * n * n)) for _ in range(4)]

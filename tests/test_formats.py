@@ -25,7 +25,6 @@ from triramsey import (
     single_vertex,
     write_level,
 )
-from triramsey import enumeration
 from triramsey.enumeration import LevelSet
 from triramsey.formats import _body_digest, _body_rows, _graph6_lines, render_report
 
@@ -118,7 +117,7 @@ def test_graph6_batches_match_one_item_calls(seed, monkeypatch, tmp_path):
     run in many chunks."""
     rng = random.Random(40 + seed)
     if seed % 2:
-        monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", rng.choice([1, 7, 100, 2000]))
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", rng.choice([1, 7, 100, 2000]))
     spec = ProblemSpec(k=1, j=3)
     for n in range(MAX_N + 1):
         graphs = [random_graph(rng, n, rng.choice([0.1, 0.5, 0.9]))
@@ -314,7 +313,7 @@ def _relabeled_copy(level: LevelSet, spec: ProblemSpec, target, seed: int) -> No
 @pytest.mark.parametrize("bound", [None, 1, 150, 5000])
 def test_relabeled_level_reads_back_canonical(tmp_path, monkeypatch, spec, order, bound):
     if bound is not None:
-        monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", bound)
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", bound)
     level = level_at(spec, order)
     canonical = tmp_path / "canonical.lvl"
     write_level(level, spec, canonical)
@@ -377,7 +376,7 @@ def test_bad_line_in_a_later_chunk_detected(tmp_path, monkeypatch, name, bound):
     target = tmp_path / "level.lvl"
     _with_body(target, spec, 7, body)
     if bound is not None:
-        monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", bound)
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", bound)
     with pytest.raises(error) as info:
         read_level(target)
     assert str(info.value) == message
@@ -385,7 +384,7 @@ def test_bad_line_in_a_later_chunk_detected(tmp_path, monkeypatch, name, bound):
 
 def test_prefixed_and_padded_lines_accepted(tmp_path, monkeypatch):
     # graph6_decode strips surrounding whitespace and the ">>graph6<<" header.
-    monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", 100)
+    monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", 100)
     spec = ProblemSpec(k=2, j=7)
     level = level_at(spec, 7)
     body = [graph6_encode(g) for g in level.graphs()]

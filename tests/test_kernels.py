@@ -13,7 +13,6 @@ import random
 import pytest
 
 from triramsey import ProblemSpec, add_vertex, independent_set_masks, is_k_sparse_set
-from triramsey import enumeration
 from triramsey.enumeration import reject_extension_slow, surviving_extension_sets
 
 from .conftest import random_triangle_free
@@ -53,7 +52,7 @@ def reference_attachment_sets(g, spec):
 def test_surviving_sets_match_reference_checks(seed, monkeypatch):
     if seed % 2:
         # Many small chunks along the pattern axis of the broadcast.
-        monkeypatch.setattr(enumeration, "_BROADCAST_ELEMENTS", seed)
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", seed)
     rng = random.Random(100 + seed)
     n = 1 + seed % 11
     k = seed % 4
