@@ -46,25 +46,6 @@ from .graphs import (
 CanonKey = bytes
 
 
-def twin_classes(g: Graph) -> list[list[int]]:
-    """Partition vertices into identical-neighborhood classes.
-
-    Classes are listed by ascending first member and hold their members in
-    ascending order.  Members of one class are pairwise non-adjacent (a twin
-    inside its own row would be a loop).
-    """
-    index: dict[int, int] = {}
-    classes: list[list[int]] = []
-    for v, row in enumerate(g.adj):
-        c = index.get(row)
-        if c is None:
-            index[row] = len(classes)
-            classes.append([v])
-        else:
-            classes[c].append(v)
-    return classes
-
-
 def _encode_rows(rows: np.ndarray, orders: np.ndarray) -> list[CanonKey]:
     """The key of every graph of a (graphs x n) row array relabeled so that
     ``orders[g, a]`` becomes vertex a of ``rows[g]``."""

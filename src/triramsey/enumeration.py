@@ -15,20 +15,25 @@ twin-prefix form is an automorphism of P, so it keeps every vertex's pair.
 Members are stored canonically labeled and sorted by key, so levels are
 byte-stable regardless of worker count or merge order: a child travels as
 its key alone, and each class is decoded once from it.  A step cuts its
-parents into runs of consecutive parents, one task each; a task extends its
-run and labels the children with ``canonical_forms`` a chunk at a time, so
-one numpy batch spans many parents.
+parents into runs of consecutive parents, one task each.
 
-The forbidden-set test runs once per parent over all its remaining
-attachment sets at once: a table of the parent's k-sparse (j-1)-sets, each
-with its members whose internal degree is already k, is built in one numpy
-broadcast and decides every attachment set through a second one.  Masks
-cover the parent's vertices only (< 2**MAX_N), so int64 arithmetic never
-overflows.
+A task is one array pipeline over the (parents x n) row array of its run
+(``_attachment_sets``): the independent sets of every parent, built by
+doubling over the vertices with rule (b) applied on the way, rule (a), and
+the forbidden-set filter come out as flat arrays of sets, each tagged with
+the parent it belongs to.  The filter lists each parent's k-sparse
+(j-1)-sets, grown one vertex at a time so that only k-sparse sets are ever
+extended, together with their members whose internal degree is already k,
+and joins every attachment set with its own parent's sets only.  The
+children's rows are then built from the parents' rows and labeled with
+``canonical_forms`` a chunk at a time, so one numpy batch spans many
+parents.  Masks cover the parent's vertices only (< 2**MAX_N), so int64
+arithmetic never overflows, and every temporary is chunked to stay within
+``graphs._BROADCAST_ELEMENTS`` elements.
 
 A resumed level is re-checked in full by ``first_nonmember``, which decides
-many graphs of one order at a time over uint32 adjacency rows, with the same
-per-order subset table and bounded temporaries.
+many graphs of one order at a time over uint32 adjacency rows, with a
+per-order table of every j-subset and bounded temporaries.
 """
 
 from __future__ import annotations
@@ -36,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, combinations, count, islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .canon import CanonKey, canonical_forms, canonical_graph, decode_keys, twin_classes
+from .canon import CanonKey, canonical_forms, canonical_graph, decode_keys
 from .defect import (
     has_k_dense_set,
     has_k_dense_set_containing,
@@ -54,16 +59,15 @@ from .graphs import (
     VertexSet,
     _graphs_per_chunk,
     add_vertex,
-    complement,
     find_triangle,
-    independent_set_masks,
     row_array,
     single_vertex,
 )
 
 #: How many consecutive parents make one ``level_step`` task.  A task's
-#: children are labeled together, so its batches span parents; the number of
-#: tasks grows with the level, whatever the worker count.
+#: attachment sets are found and its children labeled together, so its
+#: batches span parents; the number of tasks grows with the level, whatever
+#: the worker count.
 _TASK_PARENTS = 32
 
 
@@ -159,35 +163,6 @@ def _subset_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return members, masks
 
 
-def _completes(attach: np.ndarray, rows: tuple[int, ...], k: int, size: int) -> np.ndarray:
-    """True where a new vertex attached to ``attach`` completes a k-sparse
-    (size+1)-set through it in the graph with adjacency ``rows``.
-
-    The table holds every k-sparse ``size``-set T with A_T, its members whose
-    degree inside T is already k, built in one (subsets x vertices) broadcast.
-    Attaching to s turns T into the k-sparse set {v} + T exactly when s misses
-    A_T (no member of T goes past degree k) and |s & T| <= k (the new vertex
-    itself stays within degree k).
-    """
-    dead = np.zeros(len(attach), dtype=bool)
-    if not len(attach):
-        return dead
-    subsets = _subset_table(len(rows), size)[1]
-    bits = 1 << np.arange(len(rows), dtype=np.int64)
-    member = (subsets[:, None] & bits) != 0
-    degree = np.bitwise_count(subsets[:, None] & np.array(rows, dtype=np.int64))
-    keep = ~(member & (degree > k)).any(axis=1)
-    saturated = np.where(member[keep] & (degree[keep] == k), bits, 0).sum(axis=1)
-    subsets = subsets[keep]
-    col = attach[:, None]
-    step = max(1, graph_module._BROADCAST_ELEMENTS // len(attach))
-    for lo in range(0, len(subsets), step):
-        hit = ((col & saturated[lo:lo + step]) == 0) & (
-            np.bitwise_count(col & subsets[lo:lo + step]) <= k)
-        dead |= hit.any(axis=1)
-    return dead
-
-
 def _has_sparse_set(rows: np.ndarray, k: int, size: int) -> np.ndarray:
     """True for each graph (a row of uint32 adjacency rows) with a k-sparse
     ``size``-set: a subset none of whose members has more than k neighbours
@@ -251,6 +226,161 @@ def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
             return lo + int(bad.argmax())
 
 
+def _spans(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each of as many items of ``width``
+    elements as ``graphs._BROADCAST_ELEMENTS`` holds (at least one)."""
+    step = max(1, graph_module._BROADCAST_ELEMENTS // max(1, width))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def _sparse_sets(rows: np.ndarray, k: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every k-sparse ``size``-set T of every graph of a (graphs x n) uint32
+    row array, with its saturated members (those whose degree inside T is
+    already k): flat arrays of owners (row indices), sets and saturated
+    masks, sorted by owner.
+
+    The sets are grown one vertex at a time, each by the vertices above its
+    highest member that leave enough vertices above them to reach ``size``
+    members.  T + v is k-sparse exactly when T is, v has at most k
+    neighbours in T and none of them is saturated, so only k-sparse sets are
+    ever extended.  Each set carries its members' degrees inside it as bit
+    planes (plane b holds bit b of every member's degree), so that adding v
+    is a binary increment of the members it sees and no (sets x n) count is
+    taken.
+    """
+    m, n = rows.shape
+    flat = rows.ravel()
+    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    depth = k.bit_length()
+    starts = max(0, n - size + 1)
+    # One column per set: owner, highest member, members, saturated members, planes.
+    table = np.zeros((4 + depth, m * starts), dtype=np.uint32)
+    table[0] = np.repeat(np.arange(m), starts)
+    table[1] = np.tile(np.arange(starts), m)
+    table[2] = bits[table[1]]
+    if k == 0:
+        table[3] = table[2]
+    for members in range(1, size):
+        grown = [table[:, :0]]
+        # A set has at most n candidates; only those that pass are copied.
+        for span in _spans(table.shape[1], n):
+            top = table[1, span].astype(np.int64)
+            counts = n - size + members - top
+            source = np.repeat(np.arange(table.shape[1])[span], counts)
+            # A set's candidates are the vertices top + 1, top + 2, ... in turn.
+            vertex = np.arange(len(source)) - np.repeat(np.cumsum(counts) - counts - top - 1, counts)
+            row = flat[table[0, source] * n + vertex]
+            carry = row & table[2, source]
+            degree = np.bitwise_count(carry)
+            ok = ((row & table[3, source]) == 0) & (degree <= k)
+            new = table[:, source[ok]]
+            vertex, carry, degree = vertex[ok], carry[ok], degree[ok]
+            bit = bits[vertex]
+            new[1] = vertex
+            new[2] |= bit
+            new[3] = new[2]
+            for b in range(depth):
+                plane = new[4 + b]
+                carry, new[4 + b] = plane & carry, plane ^ carry | bit * (degree >> b & 1)
+                new[3] &= plane if k >> b & 1 else ~plane
+            grown.append(new)
+        table = np.concatenate(grown, axis=1)
+    return table[0], table[2], table[3]
+
+
+def _completes(rows: np.ndarray, owner: np.ndarray, sets: np.ndarray, k: int,
+               size: int) -> np.ndarray:
+    """True where a new vertex attached to ``sets[x]`` completes a k-sparse
+    (size+1)-set through it in the graph ``rows[owner[x]]``.
+
+    Such a set is the new vertex plus a k-sparse ``size``-set T of the
+    parent, and attaching to s turns T into one exactly when s misses T's
+    saturated members (none goes past degree k) and |s & T| <= k (the new
+    vertex stays within degree k).  Each set meets only its own parent's
+    sets T (``_sparse_sets``), in a flat join over (set, T) pairs taken a
+    chunk of pairs at a time.
+    """
+    dead = np.zeros(len(sets), dtype=bool)
+    if not len(sets):
+        return dead
+    table_owner, subsets, saturated = _sparse_sets(rows, k, size)
+    bounds = np.searchsorted(table_owner, np.arange(len(rows) + 1))
+    first, pairs = bounds[owner], bounds[owner + 1] - bounds[owner]
+    ends = np.cumsum(pairs)
+    total, step = int(ends[-1]), graph_module._BROADCAST_ELEMENTS
+    for lo in range(0, total, step):
+        pair = np.arange(lo, min(lo + step, total))
+        x = np.searchsorted(ends, pair, side="right")
+        t = first[x] + pair - (ends[x] - pairs[x])
+        s = sets[x]
+        hit = ((s & saturated[t]) == 0) & (np.bitwise_count(s & subsets[t]) <= k)
+        dead[x[hit]] = True
+    return dead
+
+
+def _attachment_sets(rows: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The attachment sets that ``surviving_extension_sets`` returns, for
+    every parent of a (parents x n) uint32 row array at once: flat arrays of
+    owners (row indices) and sets, sorted by (owner, set).
+
+    The independent sets are built by doubling over the vertices, rule (b)
+    included: a set takes vertex v only if it holds v's previous twin.  Rule
+    (a) reads each chunk of sets' (sets x n) counts |N(w) & s|, and the
+    filter is ``_completes``, on the complement rows for the dense side.
+    """
+    m, n = rows.shape
+    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    deg = np.bitwise_count(rows).astype(np.int64)
+    # Equal rows are twins; a stable sort puts each one after its previous twin.
+    by_row = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, by_row, axis=1)
+    parent, at = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
+    twin = np.zeros((m, n), dtype=np.uint32)
+    twin[parent, by_row[parent, at + 1]] = bits[by_row[parent, at]]
+    owner = np.arange(m)
+    sets = np.zeros(m, dtype=np.uint32)
+    for v in range(n):
+        earlier = twin[owner, v]
+        grow = ((sets & rows[owner, v]) == 0) & ((sets & earlier) == earlier)
+        owner = np.concatenate([owner, owner[grow]])
+        sets = np.concatenate([sets, sets[grow] | bits[v]])
+    # (a) needs |s| >= every degree of the parent; cutting smaller sets first is cheap.
+    keep = np.bitwise_count(sets) >= deg.max(axis=1)[owner]
+    owner, sets = owner[keep], sets[keep]
+    nds = np.zeros((m, n), dtype=np.int64)
+    for u in range(n):
+        nds += (rows >> u & 1) * deg[:, u, None]
+    scale = (n + 1) ** 2
+    keep = np.zeros(len(sets), dtype=bool)
+    for span in _spans(len(sets), n):
+        o, s = owner[span], sets[span]
+        inside = np.bitwise_count(rows[o] & s[:, None]).astype(np.int64)
+        member = (s[:, None] & bits != 0).astype(np.int64)
+        size = np.bitwise_count(s).astype(np.int64)
+        new_key = size * scale + inside.sum(axis=1) + size
+        parent_keys = (deg[o] + member) * scale + nds[o] + inside + member * size[:, None]
+        keep[span] = new_key >= parent_keys.max(axis=1)
+    owner, sets = owner[keep], sets[keep]
+    keep = ~_completes(rows, owner, sets, spec.k, spec.j - 1)
+    owner, sets = owner[keep], sets[keep]
+    if spec.i is not None:
+        full = np.uint32((1 << n) - 1)
+        keep = ~_completes(rows ^ (full ^ bits), owner, full ^ sets, spec.k, spec.i - 1)
+        owner, sets = owner[keep], sets[keep]
+    order = np.lexsort((sets, owner))
+    return owner[order], sets[order]
+
+
+def _child_rows(rows: np.ndarray, owner: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """The (sets x n+1) uint32 rows of the children: the parent
+    ``rows[owner[x]]`` with a new vertex n attached to ``sets[x]``."""
+    n = rows.shape[1]
+    children = np.empty((len(sets), n + 1), dtype=np.uint32)
+    children[:, :n] = rows[owner] | (sets[:, None] >> np.arange(n, dtype=np.uint32) & 1) << n
+    children[:, n] = sets
+    return children
+
+
 def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
     """The surviving independent sets of g in twin-prefix form whose new
     vertex maximizes (degree, neighbour-degree sum) in the child, in
@@ -273,11 +403,11 @@ def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
     two children that fixes the new vertex, so every vertex keeps its pair:
     (a) still holds and the child's class is the same.
 
-    Rule (a) is computed for all sets at once, with no child built.  With B
-    the sets x n bit matrix, A the adjacency matrix of g, deg = A.1 and
-    nds = A.deg, the new vertex has the pair (|s|, B.(deg + 1)) and a parent
-    vertex w has (deg_w + B_w, nds_w + (B.A)_w + B_w |s|).  No child vertex
-    has a neighbour-degree sum of (n+1)**2 or more, so deg (n+1)**2 + nds
+    Rule (a) is computed for all sets at once, with no child built.  With
+    deg the degrees of g, nds its neighbour-degree sums and c_w = |N(w) & s|,
+    the new vertex has the pair (|s|, sum_w c_w + |s|) and a parent vertex w
+    has (deg_w + [w in s], nds_w + c_w + [w in s] |s|).  No child vertex has
+    a neighbour-degree sum of (n+1)**2 or more, so deg (n+1)**2 + nds
     compares as the pair does.
 
     A set s survives when attaching a new vertex to it creates no k-sparse
@@ -285,28 +415,10 @@ def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
     a k-sparse j-set through the new vertex is the vertex plus a k-sparse
     (j-1)-set of g, and the dense side is the same test in the complement,
     where the new vertex sees every parent vertex outside s.
+
+    This is ``_attachment_sets`` on a batch of one parent.
     """
-    sets = np.array(independent_set_masks(g), dtype=np.int64)
-    # (a) needs |s| >= every degree of g; cutting smaller sets first is cheap.
-    keep = np.bitwise_count(sets) >= g.max_degree()
-    for cell in twin_classes(g):
-        for earlier, later in zip(cell, cell[1:]):
-            keep &= (sets >> later & 1) <= (sets >> earlier & 1)
-    sets = sets[keep]
-    vertices = np.arange(g.order)
-    adjacency = np.array(g.adj, dtype=np.int64)[:, None] >> vertices & 1
-    bits = sets[:, None] >> vertices & 1
-    deg = adjacency.sum(axis=1)
-    size = bits.sum(axis=1)
-    scale = (g.order + 1) ** 2
-    new_key = size * scale + bits @ (deg + 1)
-    parent_keys = ((deg + bits) * scale + adjacency @ deg + bits @ adjacency
-                   + bits * size[:, None])
-    sets = sets[new_key >= parent_keys.max(axis=1, initial=0)]
-    sets = sets[~_completes(sets, g.adj, spec.k, spec.j - 1)]
-    if spec.i is not None:
-        sets = sets[~_completes(g.full_mask() ^ sets, complement(g).adj, spec.k, spec.i - 1)]
-    return sets.tolist()
+    return _attachment_sets(row_array([g.adj], g.order), spec)[1].tolist()
 
 
 def extend_graph(g: Graph, spec: ProblemSpec) -> list[Graph]:
@@ -316,7 +428,9 @@ def extend_graph(g: Graph, spec: ProblemSpec) -> list[Graph]:
     Children of different sets may still be isomorphic; the level merge
     deduplicates those by key.
     """
-    return [add_vertex(g, s) for s in surviving_extension_sets(g, spec)]
+    rows = row_array([g.adj], g.order)
+    children = _child_rows(rows, *_attachment_sets(rows, spec))
+    return [Graph(g.order + 1, tuple(child)) for child in children.tolist()]
 
 
 def reject_extension_slow(g: Graph, spec: ProblemSpec, s: VertexSet) -> bool:
@@ -337,14 +451,17 @@ def reject_extension_slow(g: Graph, spec: ProblemSpec, s: VertexSet) -> bool:
 
 def _extend_entries(spec: ProblemSpec, parents: list[tuple[int, ...]]) -> list[CanonKey]:
     """Worker task: the canonical keys of the surviving children of the
-    parents (adjacency rows of one order), labeled ``_graphs_per_chunk``
-    children at a time whichever parents they come from."""
-    n = len(parents[0]) + 1
-    children = (c.adj for adj in parents for c in extend_graph(Graph(n - 1, adj), spec))
-    step = _graphs_per_chunk(n)
+    parents (adjacency rows of one order).  The attachment sets of every
+    parent come from one ``_attachment_sets`` pass, and the children are
+    built and labeled ``_graphs_per_chunk`` at a time whichever parents they
+    come from."""
+    n = len(parents[0])
+    rows = row_array(parents, n)
+    owner, sets = _attachment_sets(rows, spec)
+    step = _graphs_per_chunk(n + 1)
     keys: list[CanonKey] = []
-    while chunk := list(islice(children, step)):
-        keys += canonical_forms(row_array(chunk, n))
+    for lo in range(0, len(sets), step):
+        keys += canonical_forms(_child_rows(rows, owner[lo:lo + step], sets[lo:lo + step]))
     return keys
 
 

@@ -117,11 +117,9 @@ def _spec_fields(spec: ProblemSpec) -> list[str]:
 
 
 def _body_digest(lines: list[str]) -> str:
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode("ascii"))
-        h.update(b"\n")
-    return h.hexdigest()
+    """The sha256 of the body lines, each ended by a newline."""
+    body = "\n".join(lines) + "\n" if lines else ""
+    return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
 def write_level(level: LevelSet, spec: ProblemSpec, destination) -> None:

@@ -26,10 +26,10 @@ MAX_N = 32
 VertexSet = int
 
 #: Upper bound on the elements of one numpy temporary in the batch paths: the
-#: (attachment sets x patterns) broadcast of the forbidden-set filter, every
+#: (sets x n) counts and the (set, sparse set) pairs of a level-step task, every
 #: temporary of ``enumeration.first_nonmember``, and the (graphs x n x n)
 #: temporaries in which levels are decoded, labeled and encoded and in which
-#: ``canon.canonical_forms`` refines its search nodes; the pattern, graph,
+#: ``canon.canonical_forms`` refines its search nodes; the set, pair, graph,
 #: node and subset axes are chunked to respect it.
 _BROADCAST_ELEMENTS = 1 << 16
 

@@ -37,7 +37,6 @@ from triramsey.canon import (
     _root_cells,
     canonical_forms,
     decode_keys,
-    twin_classes,
 )
 from triramsey.graphs import _graphs_per_chunk
 from triramsey.oracle import brute_isomorphic, count_graph_classes
@@ -391,6 +390,25 @@ def test_golden_key_digest():
 
 def row_array(graphs: list[Graph], n: int) -> np.ndarray:
     return np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
+
+
+def twin_classes(g: Graph) -> list[list[int]]:
+    """Partition vertices into identical-neighborhood classes.
+
+    Classes are listed by ascending first member and hold their members in
+    ascending order.  Members of one class are pairwise non-adjacent (a twin
+    inside its own row would be a loop).
+    """
+    index: dict[int, int] = {}
+    classes: list[list[int]] = []
+    for v, row in enumerate(g.adj):
+        c = index.get(row)
+        if c is None:
+            index[row] = len(classes)
+            classes.append([v])
+        else:
+            classes[c].append(v)
+    return classes
 
 
 def quotient_root(g: Graph) -> tuple[list[list[int]], bool]:

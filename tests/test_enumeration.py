@@ -29,8 +29,8 @@ from triramsey import (
     verify_membership,
 )
 from triramsey import enumeration
-from triramsey.enumeration import reject_extension_slow, surviving_extension_sets
-from triramsey.graphs import _graphs_per_chunk
+from triramsey.enumeration import reject_extension_slow
+from triramsey.graphs import _graphs_per_chunk, row_array
 from triramsey.oracle import (
     brute_has_k_dense_set,
     brute_has_k_sparse_set,
@@ -120,15 +120,21 @@ def test_attachment_rules_are_lossless(spec):
 
 @pytest.mark.parametrize("spec, max_order, total", [(ProblemSpec(k=1, j=7), 9, 3235),
                                                      (ProblemSpec(k=2, j=7), 14, 2594),
-                                                     (ProblemSpec(k=1, j=7, i=4), 14, 635)])
+                                                     (ProblemSpec(k=1, j=7, i=4), 14, 635),
+                                                     (ProblemSpec(k=1, j=7), 11, 55130),
+                                                     (ProblemSpec(k=4, j=11, i=9), 11, 94278)])
 def test_attachment_set_totals(spec, max_order, total):
     """Pins how many attachment sets the rules leave, summed over every parent
     up to ``max_order`` (T_2(7) and R_1(4,7) die out before order 14).  A
-    weaker rule still passes the lossless tests; it fails this one."""
+    weaker rule still passes the lossless tests; it fails this one.  The sets
+    are counted a task of parents at a time, as ``level_step`` takes them."""
     level = initial_level(spec)
     seen = 0
+    step = enumeration._TASK_PARENTS
     while len(level) > 0 and level.order < max_order:
-        seen += sum(len(surviving_extension_sets(g, spec)) for g in level.graphs())
+        rows = row_array([g.adj for g in level.graphs()], level.order)
+        seen += sum(len(enumeration._attachment_sets(rows[lo:lo + step], spec)[1])
+                    for lo in range(0, len(rows), step))
         level = level_step(level, spec)
     assert seen == total
 
@@ -281,6 +287,30 @@ def test_cardinality_guard_trips_within_one_task():
         level_step(level, spec, mapper=lazy, max_cardinality=bound)
     assert 1 < len(ran) < -(-len(level) // enumeration._TASK_PARENTS)
     assert len(set().union(*ran[:-1])) <= bound < len(set().union(*ran))
+
+
+def _logged(log, fn, task):
+    with open(log, "a") as out:
+        out.write("task\n")
+    return fn(task)
+
+
+def test_capped_pooled_step_skips_queued_tasks(tmp_path, monkeypatch):
+    # The pool's map submits every task up front; when the guard fires, the
+    # tasks no worker has started are cancelled, so the step returns after
+    # a few tasks instead of running all of them.
+    spec = ProblemSpec(k=1, j=7)
+    level = level_at(spec, 8)
+    monkeypatch.setattr(enumeration, "_TASK_PARENTS", 4)
+    tasks = -(-len(level) // 4)
+    log = tmp_path / "tasks.log"
+    with ProcessPoolExecutor(2) as pool:
+        def mapper(fn, tasks):
+            return pool.map(partial(_logged, log, fn), tasks)
+
+        with pytest.raises(LevelCardinalityExceeded):
+            level_step(level, spec, mapper=mapper, max_cardinality=30)
+    assert 1 < len(log.read_text().splitlines()) < tasks // 4
 
 
 def test_membership_independent_of_kernels():

@@ -176,6 +176,14 @@ def test_empty_level_round_trip(tmp_path):
     assert loaded.order == 5 and len(loaded) == 0
 
 
+def test_body_digest_pins():
+    # Every level file's footer depends on these; an empty body hashes b"".
+    assert _body_digest([]) == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    assert _body_digest(["A_"]) == "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9"
+    assert _body_digest(["A_", "B?"]) == (
+        "bb06a64197bda5b59e498027df53075bd50d0ae6cc40ee794d437ae8462eb471")
+
+
 def test_tampered_body_detected(tmp_path):
     spec = ProblemSpec(k=1, j=3)
     level = level_at(spec, 4)

@@ -1,4 +1,5 @@
-"""The forbidden-set filter and independent-set enumeration against references.
+"""The forbidden-set filter, the attachment rules and independent-set
+enumeration against references, for one parent and for a whole task.
 
 Both references share no code with the fast paths: membership comes from the
 ``defect`` predicates and branch-and-bound searches, degrees and
@@ -9,11 +10,18 @@ row equality.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from triramsey import ProblemSpec, add_vertex, independent_set_masks, is_k_sparse_set
-from triramsey.enumeration import reject_extension_slow, surviving_extension_sets
+from triramsey import (
+    ProblemSpec,
+    add_vertex,
+    canonical_form,
+    independent_set_masks,
+    is_k_sparse_set,
+)
+from triramsey.enumeration import _extend_entries, reject_extension_slow, surviving_extension_sets
 
 from .conftest import random_triangle_free
 
@@ -63,3 +71,33 @@ def test_surviving_sets_match_reference_checks(seed, monkeypatch):
         g = random_triangle_free(rng, n, tries=tries)
         for spec in specs:
             assert surviving_extension_sets(g, spec) == reference_attachment_sets(g, spec), spec
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_task_keys_match_reference(seed, monkeypatch):
+    """A whole task gives, as a multiset, the keys of the reference children
+    of every one of its parents: mixed triangle-free parents of one order,
+    and the first of them alone as a task of one; T and R specs with
+    k = seed % 4.  Odd seeds shrink the broadcast bound, so chunks split one
+    parent's sets."""
+    rng = random.Random(300 + seed)
+    if seed % 2:
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", rng.choice([1, 7, 40]))
+    n = rng.randint(1, 10)
+    k = seed % 4
+    parents = [random_triangle_free(rng, n, tries=rng.randint(0, 3 * n * n))
+               for _ in range(rng.randint(2, 12))]
+    # j = n + 2 leaves the filter nothing to find, so only the rules cut.
+    specs = [ProblemSpec(k=k, j=j) for j in [*range(k + 2, k + 6), n + 2]]
+    specs += [ProblemSpec(k=k, j=rng.randint(k + 2, k + 5), i=i) for i in range(2, k + 5)]
+    sizes = set()
+    for spec in specs:
+        reference = [reference_attachment_sets(g, spec) for g in parents]
+        sizes.update(len(sets) for sets in reference)
+        for count in (len(parents), 1):
+            expected = Counter(canonical_form(add_vertex(g, s))
+                               for g, sets in zip(parents[:count], reference) for s in sets)
+            task = [g.adj for g in parents[:count]]
+            assert Counter(_extend_entries(spec, task)) == expected, (spec, count)
+    # Some parent keeps sets under some spec, and some parent keeps none.
+    assert 0 in sizes and max(sizes) > 0
