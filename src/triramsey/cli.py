@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (or verdict true), 1 verdict false (a forbidden set
 was found, the oracle disagreed, or a probe cell disagreed), 2 usage or
-input errors, 3 a run hit a resource cap.
+input errors or a dead worker process, 3 a run hit a resource cap.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from .defect import sparse_bound_witness
@@ -190,6 +191,13 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (TriramseyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenExecutor as exc:
+        checkpoint = getattr(args, "checkpoint", None)
+        where = ("no --checkpoint directory was given, so a rerun starts over"
+                 if checkpoint is None else
+                 f"resume from the last level file in --checkpoint {checkpoint}")
+        print(f"error: a worker process died ({exc}); {where}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -31,9 +31,9 @@ parents.  Masks cover the parent's vertices only (< 2**MAX_N), so int64
 arithmetic never overflows, and every temporary is chunked to stay within
 ``graphs._BROADCAST_ELEMENTS`` elements.
 
-A resumed level is re-checked in full by ``first_nonmember``, which decides
-many graphs of one order at a time over uint32 adjacency rows, with a
-per-order table of every j-subset and bounded temporaries.
+A resumed level is re-checked in full by ``first_nonmember``, 64 graphs of
+one order per machine word of bit-sliced edge planes, with a saturating
+count per member of every j-subset (and i-subset of the complement).
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .graphs import (
     VertexSet,
     _graphs_per_chunk,
     add_vertex,
+    adjacency_matrices,
     find_triangle,
     row_array,
     single_vertex,
@@ -152,43 +153,38 @@ def initial_level(spec: ProblemSpec) -> LevelSet:
 
 
 @lru_cache(maxsize=64)
-def _subset_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every ``size``-subset of range(n), in ``combinations`` order: its member
-    indices (size x subsets, one column per subset; uint8 keeps the cached
-    table small) and its int64 mask (read-only, shared)."""
+def _subset_table(n: int, size: int) -> np.ndarray:
+    """Every ``size``-subset of range(n), in ``combinations`` order, as the
+    (size x subsets) uint8 table of its members, one column each (read-only,
+    shared)."""
     combos = list(combinations(range(n), size))
     members = np.array(list(zip(*combos)), dtype=np.uint8).reshape(size, len(combos))
-    masks = np.array([sum(1 << u for u in c) for c in combos], dtype=np.int64)
-    members.flags.writeable = masks.flags.writeable = False
-    return members, masks
+    members.flags.writeable = False
+    return members
 
 
-def _has_sparse_set(rows: np.ndarray, k: int, size: int) -> np.ndarray:
-    """True for each graph (a row of uint32 adjacency rows) with a k-sparse
+def _lanes_with_sparse_set(planes: np.ndarray, k: int, size: int) -> np.ndarray:
+    """The lanes of (n x n x words) edge planes whose graph has a k-sparse
     ``size``-set: a subset none of whose members has more than k neighbours
-    inside it.
-
-    Subsets are decided one member position at a time, gathering that
-    member's row for every subset, so each temporary is (graphs x subsets)
-    and stays within ``graphs._BROADCAST_ELEMENTS``: as many graphs as fit, or a
-    single graph over chunks of the subset axis once C(n, size) alone passes
-    the bound.
-    """
-    members, masks = _subset_table(rows.shape[1], size)
-    masks = masks.astype(np.uint32)
-    found = np.zeros(len(rows), dtype=bool)
-    bound = graph_module._BROADCAST_ELEMENTS
-    graphs = max(1, bound // max(1, len(masks)))
-    for at in range(0, len(rows), graphs):
-        chunk = rows[at:at + graphs]
-        for lo in range(0, len(masks), bound):
-            subsets = masks[lo:lo + bound]
-            sparse = np.ones((len(chunk), len(subsets)), dtype=bool)
-            for position in members[:, lo:lo + bound]:
-                rows_in = np.take(chunk, position, axis=1)
-                rows_in &= subsets
-                sparse &= np.bitwise_count(rows_in) <= k
-            found[at:at + graphs] |= sparse.any(axis=1)
+    in it.  Per subset (a column of ``_subset_table``) and member, the count
+    of its neighbours in the subset is kept saturated at k + 1 as bit planes,
+    ``levels[c]`` = "more than c so far"; round r adds, at every member
+    position, the edge to the member r positions on, cyclically."""
+    n, _, words = planes.shape
+    flat = planes.reshape(n * n, words)
+    members = _subset_table(n, size)
+    k = min(k, size - 1)  # no member has more than size - 1 neighbours in its subset
+    found = np.zeros(words, dtype=planes.dtype)
+    for span in _spans(members.shape[1], (k + 1) * size * words):
+        pairs = members[:, span] * np.intp(n)
+        partners = np.concatenate((members[:, span],) * 2)
+        levels = np.zeros((k + 1,) + pairs.shape + (words,), dtype=planes.dtype)
+        for r in range(1, size):
+            edge = np.take(flat, pairs + partners[r:r + size], axis=0)
+            for c in range(min(k, r - 1), 0, -1):
+                levels[c] |= levels[c - 1] & edge
+            levels[0] |= edge
+        found |= np.bitwise_or.reduce(~np.bitwise_or.reduce(levels[k], axis=0), axis=0)
     return found
 
 
@@ -196,34 +192,38 @@ def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
     """Index of the first of ``graphs``, all of one order, that fails
     membership, or None when every one passes.
 
-    The verdicts are ``verify_membership``'s, reached without witnesses in
-    numpy passes over chunks of graphs, each temporary within
-    ``graphs._BROADCAST_ELEMENTS`` elements: a triangle is an edge u~w whose rows
-    share a bit, a k-sparse j-set is a j-subset whose members all have at
-    most k neighbours in it, and a k-dense i-set is the same in the
-    complement rows.
+    The verdicts are ``verify_membership``'s, reached without witnesses for
+    64 graphs per machine word: bit g of edge plane ``planes[u, v, w]`` is
+    edge uv of graph 64 w + g of a chunk.  ``_lanes_with_sparse_set`` finds
+    k-sparse j-sets, k-dense i-sets in the complement planes, and triangles
+    as 0-sparse 3-sets of the complement.  Lanes past the last graph (empty
+    graphs) are masked; chunks of graphs and of subsets keep each temporary
+    within ``graphs._BROADCAST_ELEMENTS`` elements.
     """
     graphs = iter(graphs)
     first = next(graphs, None)
     if first is None:
         return None
     n = first.order
-    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    others = np.uint32((1 << n) - 1) ^ bits
     step = _graphs_per_chunk(n)
     graphs = chain([first], graphs)
     for lo in count(0, step):
         chunk = list(islice(graphs, step))
         if not chunk:
             return None
-        rows = row_array([g.adj for g in chunk], n)
-        cols = rows[:, :, None]
-        bad = (((cols & bits) != 0) & ((cols & rows[:, None, :]) != 0)).any(axis=(1, 2))
-        bad |= _has_sparse_set(rows, spec.k, spec.j)
+        matrices = adjacency_matrices(row_array([g.adj for g in chunk], n)).transpose(1, 2, 0)
+        planes = np.zeros((n, n, -(-len(chunk) // 64)), dtype="<u8")
+        planes.view(np.uint8)[:, :, :-(-len(chunk) // 8)] = np.packbits(
+            np.ascontiguousarray(matrices), axis=2, bitorder="little")
+        complement = ~planes
+        complement[range(n), range(n)] = 0
+        bad = _lanes_with_sparse_set(complement, 0, 3)
+        bad |= _lanes_with_sparse_set(planes, spec.k, spec.j)
         if spec.i is not None:
-            bad |= _has_sparse_set(others & ~rows, spec.k, spec.i)
-        if bad.any():
-            return lo + int(bad.argmax())
+            bad |= _lanes_with_sparse_set(complement, spec.k, spec.i)
+        lanes = np.unpackbits(bad.view(np.uint8), count=len(chunk), bitorder="little")
+        if lanes.any():
+            return lo + int(lanes.argmax())
 
 
 def _spans(count: int, width: int) -> Iterator[slice]:

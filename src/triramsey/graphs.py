@@ -26,11 +26,13 @@ MAX_N = 32
 VertexSet = int
 
 #: Upper bound on the elements of one numpy temporary in the batch paths: the
-#: (sets x n) counts and the (set, sparse set) pairs of a level-step task, every
-#: temporary of ``enumeration.first_nonmember``, and the (graphs x n x n)
-#: temporaries in which levels are decoded, labeled and encoded and in which
-#: ``canon.canonical_forms`` refines its search nodes; the set, pair, graph,
-#: node and subset axes are chunked to respect it.
+#: (sets x n) counts and the (set, sparse set) pairs of a level-step task; in
+#: ``enumeration.first_nonmember``, the (graphs x n x n) adjacency matrices of a
+#: chunk and the (levels x members x subsets x words) saturating counts and
+#: (members x subsets x words) edge gathers of its uint64 edge planes; and the
+#: (graphs x n x n) temporaries in which levels are decoded, labeled and
+#: encoded and in which ``canon.canonical_forms`` refines its search nodes.
+#: The set, pair, graph, node and subset axes are chunked to respect it.
 _BROADCAST_ELEMENTS = 1 << 16
 
 

@@ -77,14 +77,14 @@ def random_permutation(rng: random.Random, n: int) -> list[int]:
     return pi
 
 
-def run_script(tmp_path: Path, source: str) -> subprocess.CompletedProcess:
-    """Run ``source`` in a child interpreter that imports this checkout's
-    package, capturing its output; the 60 s timeout turns a hang into a
-    failure."""
+def run_script(tmp_path: Path, source: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``source`` with ``args`` in a child interpreter that imports this
+    checkout's package, capturing its output; the 60 s timeout turns a hang
+    into a failure."""
     script = tmp_path / "child.py"
     script.write_text(source)
     src = str(Path(triramsey.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+    return subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True,
                           env=env, timeout=60)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import textwrap
+
 import pytest
 
 from triramsey import build_graph, cycle, complete_bipartite, graph6_decode, graph6_encode
 from triramsey.cli import main
 
-from .conftest import FIGURE_9_EDGES, petersen
+from .conftest import FIGURE_9_EDGES, petersen, run_script
 
 
 def run(capsys, *argv):
@@ -158,6 +160,46 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["compute", "--k", "1"])  # missing --j
     assert info.value.code == 2
+
+
+KILL_A_WORKER_IN_CLI = textwrap.dedent("""
+    import os
+    import sys
+
+    from triramsey import enumeration
+    from triramsey.cli import main
+
+    extend = enumeration._extend_entries
+
+    def dying(spec, parents):
+        if len(parents[0]) == 6:  # parents of order 6
+            os._exit(1)
+        return extend(spec, parents)
+
+    enumeration._extend_entries = dying
+
+    if __name__ == "__main__":
+        sys.exit(main(["compute", "--k", "1", "--j", "6", "--workers", "2", *sys.argv[1:]]))
+""")
+
+
+@pytest.mark.parametrize("checkpoint", [True, False])
+def test_killed_worker_is_an_error_not_a_verdict(tmp_path, checkpoint):
+    """A dead worker exits 2 with one error line, never 1 ("verdict false")
+    with a traceback; the line names the directory to resume from, whose
+    level files reach the order the dead step started from."""
+    directory = tmp_path / "levels"
+    result = run_script(tmp_path, KILL_A_WORKER_IN_CLI,
+                        *(["--checkpoint", str(directory)] if checkpoint else []))
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: a worker process died")
+    if checkpoint:
+        assert str(directory) in result.stderr
+        assert (directory / "level-06.lvl").exists()
+        assert not (directory / "level-07.lvl").exists()
+    else:
+        assert "no --checkpoint" in result.stderr
 
 
 def test_check_figure_nine(capsys):

@@ -385,3 +385,46 @@ def test_first_nonmember_returns_the_lowest_bad_index():
     assert first_nonmember([dense, sparse, triangle], spec) == 0
     assert first_nonmember(iter([c5, c5, c5, sparse]), spec) == 3
     assert first_nonmember([c5, dense], ProblemSpec(k=1, j=4)) is None
+
+
+@pytest.mark.parametrize("bound", [None, 1])
+def test_first_nonmember_at_word_boundaries(bound, monkeypatch):
+    """One machine word holds 64 graphs, and the lanes past the last graph
+    hold empty graphs, which have sparse sets: runs that end on either side
+    of a word boundary pass, and one bad member is reported at exactly its
+    index, in the second word or at the end of a partial word.  A bound of 1
+    puts each graph in its own chunk, so every word is partial."""
+    if bound is not None:
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", bound)
+    spec = ProblemSpec(k=1, j=5, i=4)
+    members = level_at(spec, 6).graphs()
+    empty = build_graph(6, [])  # every 5-set is 1-sparse
+    triangle = build_graph(6, [(0, 1), (1, 2), (0, 2)])
+    for total in (63, 64, 65, 129):
+        assert first_nonmember([members[x % len(members)] for x in range(total)], spec) is None
+    for total, index, bad in ((129, 64, empty), (65, 64, triangle), (100, 99, empty),
+                              (129, 128, triangle)):
+        graphs = [members[x % len(members)] for x in range(total)]
+        graphs[index] = bad
+        assert first_nonmember(graphs, spec) == index, (total, index)
+
+
+@pytest.mark.parametrize("bound", [None, 2000])
+def test_first_nonmember_counts_to_five(bound, monkeypatch):
+    """R_4(9,11) at orders 13 and 14: a member is crowded once it has 5
+    neighbours in its subset, the deepest count of the saturating counter.
+    The batched check agrees with ``find_forbidden_set`` on random
+    triangle-free graphs on both sides of membership and on members less
+    one edge."""
+    if bound is not None:
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", bound)
+    rng = random.Random(4)
+    spec = ProblemSpec(k=4, j=11, i=9)
+    for n in (13, 14):
+        graphs = [random_triangle_free(rng, n, rng.randint(n, 3 * n * n)) for _ in range(40)]
+        graphs += [build_graph(n, rng.sample(g.edges(), len(g.edges()) - 1))
+                   for g in graphs if verify_membership(g, spec)]
+        rng.shuffle(graphs)
+        verdicts = [find_forbidden_set(g, spec) for g in graphs]
+        assert None in verdicts and {v[0] for v in verdicts if v} == {"sparse", "dense"}, n
+        assert _nonmembers(graphs, spec) == [x for x, v in enumerate(verdicts) if v], n
