@@ -6,7 +6,9 @@ most significant bit first, zero padded.  Two graphs get equal keys exactly
 when they are isomorphic, and keys compare as plain byte strings, which gives
 the total order used for deduplication and stable file output.  The key is
 the whole class: ``decode_key`` rebuilds the canonically labeled
-representative from it, so no relabeled graph is ever carried beside a key.
+representative from it, so no relabeled graph is ever carried beside a key;
+``decode_keys`` gives the rows of a chunk of keys, and a level's rows are
+decoded with it, once, by ``enumeration.LevelSet.from_keys``.
 
 The labeling is found by equitable partition refinement plus
 individualization.  Vertices with identical neighborhoods (false twins) are
@@ -36,7 +38,7 @@ from .errors import DecodeError
 from .graphs import (
     MAX_N,
     Graph,
-    _graphs_per_chunk,
+    _spans,
     matrix_rows,
     row_array,
     upper_pairs,
@@ -98,7 +100,7 @@ def _smallest_leaves(rows: np.ndarray, cells: np.ndarray) -> list[CanonKey]:
     The search tree is walked breadth first, one level of every graph's
     tree at a time: the frontier holds every open node of every graph.  A
     round individualizes each node (``_individualize``), refines all the
-    children together (``_refine_cells``), ``_graphs_per_chunk`` nodes at a
+    children together (``_refine_cells``), a chunk of nodes at a
     time, and encodes every child whose cells are its twin classes, a leaf,
     keeping each graph's smallest key; the other children are the next
     frontier.  The smallest key over all leaves does not depend on the
@@ -111,18 +113,16 @@ def _smallest_leaves(rows: np.ndarray, cells: np.ndarray) -> list[CanonKey]:
     classes = (first == np.arange(n)).sum(axis=1)
     best: list[CanonKey | None] = [None] * m
     graph, count = np.arange(m), cells.max(axis=1) + 1
-    step = _graphs_per_chunk(n)
     while graph.size:
         parent, cells = _individualize(cells, first[graph])
         graph, count = graph[parent], count[parent] + 1
-        for lo in range(0, graph.size, step):
-            at = slice(lo, lo + step)
+        for at in _spans(graph.size, n * n):
             _refine_cells(rows[graph[at]], cells[at], count[at], classes[graph[at]])
         leaf = count == classes[graph]
         found, orders = graph[leaf], _leaf_orders(cells[leaf])
-        for lo in range(0, found.size, step):
-            keys = _encode_rows(rows[found[lo:lo + step]], orders[lo:lo + step])
-            for g, key in zip(found[lo:lo + step].tolist(), keys):
+        for at in _spans(found.size, n * n):
+            keys = _encode_rows(rows[found[at]], orders[at])
+            for g, key in zip(found[at].tolist(), keys):
                 if best[g] is None or key < best[g]:
                     best[g] = key
         graph, cells, count = graph[~leaf], cells[~leaf], count[~leaf]
@@ -256,20 +256,21 @@ def decode_key(key: CanonKey) -> Graph:
     pad = -nbits % 8
     if key[-1] & ((1 << pad) - 1):
         raise DecodeError("nonzero trailing padding bits", offset=len(key) - 1)
-    return decode_keys([key])[0]
+    return Graph(n, tuple(decode_keys([key])[0].tolist()))
 
 
-def decode_keys(keys: Sequence[CanonKey]) -> list[Graph]:
-    """The graphs of keys of one order, each as ``decode_key`` rebuilds it.
+def decode_keys(keys: Sequence[CanonKey]) -> np.ndarray:
+    """The (keys x n) uint32 rows of the graphs ``decode_key`` rebuilds from
+    keys of one order n ((0 x 0) for no keys).
 
     The keys are not validated: they must come from ``canonical_forms`` (or
     have passed ``decode_key``).
     """
     if not keys:
-        return []
+        return np.zeros((0, 0), dtype=np.uint32)
     n = keys[0][0]
     data = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
     matrices = np.zeros((len(keys), n, n), dtype=bool)
     matrices[:, upper_pairs(n)] = np.unpackbits(data[:, 1:], axis=1, count=n * (n - 1) // 2)
     matrices |= matrices.transpose(0, 2, 1)
-    return [Graph(n, row) for row in map(tuple, matrix_rows(matrices).tolist())]
+    return matrix_rows(matrices)

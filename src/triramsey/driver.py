@@ -15,7 +15,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .canon import canonical_form, canonical_forms
+from .canon import canonical_graph
 from .enumeration import (
     LevelCardinalityExceeded,
     LevelSet,
@@ -27,7 +27,7 @@ from .enumeration import (
 )
 from .errors import ConstructionError, IntegrityError
 from .formats import check_spec_match, level_filename, read_level, write_level
-from .graphs import MAX_N, Graph, complete_bipartite, row_array
+from .graphs import MAX_N, Graph, complete_bipartite
 
 COMPLETED = "completed"
 CAPPED = "capped"
@@ -130,7 +130,7 @@ def _read_verified(path: Path, spec: ProblemSpec) -> LevelSet:
     """Read a level file written for ``spec`` and re-check every member."""
     level, file_spec = read_level(path)
     check_spec_match(file_spec, spec, path)
-    index = first_nonmember((g for _, g in level.members), spec)
+    index = first_nonmember(level.rows, spec)
     if index is not None:
         raise IntegrityError(f"{path}: member {index} fails membership for "
                              f"k={spec.k} i={spec.i} j={spec.j}")
@@ -198,8 +198,7 @@ def probe_conjecture(k_max: int, limits: RunLimits | None = None, *,
                 if reports is not None:
                     reports[spec] = report
             target = complete_bipartite(i - 1, k + i - 1)
-            # Extremals all have the run's order; another order holds no copy of the target.
-            same = [g.adj for g in report.extremals if g.order == target.order]
-            found = canonical_form(target) in canonical_forms(row_array(same, target.order))
+            # Extremals are canonically labeled, so a copy of the target is its canonical graph.
+            found = canonical_graph(target)[1] in report.extremals
             cells.append(ProbeCell(k, i, report.value, report.extremal_count, found))
     return cells

@@ -12,10 +12,11 @@ gives the argument): pick a vertex w of a next-level class G' that
 maximizes the pair; an isomorphism p maps G' - w onto a stored parent P,
 and P + p(N(w)) is G' with w as the new vertex; moving that set to its
 twin-prefix form is an automorphism of P, so it keeps every vertex's pair.
-Members are stored canonically labeled and sorted by key, so levels are
-byte-stable regardless of worker count or merge order: a child travels as
-its key alone, and each class is decoded once from it.  A step cuts its
-parents into runs of consecutive parents, one task each.
+A level is its sorted keys plus the (members x n) rows of the canonically
+labeled members, so levels are byte-stable regardless of worker count or
+merge order: a child travels as its key alone, and ``LevelSet.from_keys``
+decodes each class once from it.  A step cuts the rows into runs of
+consecutive parents, one task each.
 
 A task is one array pipeline over the (parents x n) row array of its run
 (``_attachment_sets``): the independent sets of every parent, built by
@@ -40,24 +41,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, combinations, count, islice
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .canon import CanonKey, canonical_forms, canonical_graph, decode_keys
+from .canon import CanonKey, canonical_form, canonical_forms, decode_keys
 from .defect import (
     has_k_dense_set,
     has_k_dense_set_containing,
     has_k_sparse_set,
     has_k_sparse_set_containing,
 )
-from . import graphs as graph_module
 from .errors import ConstructionError
 from .graphs import (
     Graph,
     VertexSet,
-    _graphs_per_chunk,
+    _spans,
     add_vertex,
     adjacency_matrices,
     find_triangle,
@@ -99,18 +99,41 @@ class ProblemSpec:
         return "T" if self.i is None else "R"
 
 
-@dataclass(frozen=True)
 class LevelSet:
-    """One enumeration level: key-unique members of a common order."""
+    """One enumeration level: the sorted canonical keys of its members, all
+    of one order, and one read-only (members x order) uint32 array whose row
+    x is the graph of ``keys[x]``.  ``LevelSet(order, members)`` takes
+    ``(key, Graph)`` pairs; ``members`` and ``graphs()`` rebuild them."""
 
-    order: int
-    members: tuple[tuple[CanonKey, Graph], ...]
+    def __init__(self, order: int, members: Iterable[tuple[CanonKey, Graph]] = ()):
+        members = tuple(members)
+        self.order, self.keys = order, tuple(key for key, _ in members)
+        self.rows = row_array([g.adj for _, g in members], order)
+        self.rows.flags.writeable = False
 
-    def __len__(self) -> int:
-        return len(self.members)
+    @classmethod
+    def from_keys(cls, order: int, keys: Sequence[CanonKey]) -> LevelSet:
+        """The level of sorted canonical keys of one order, decoded a chunk at a time."""
+        level = cls(order)
+        level.keys, level.rows = tuple(keys), np.empty((len(keys), order), dtype=np.uint32)
+        for span in _spans(len(keys), order * order):
+            level.rows[span] = decode_keys(level.keys[span])
+        level.rows.flags.writeable = False
+        return level
+
+    @property
+    def members(self) -> tuple[tuple[CanonKey, Graph], ...]:
+        return tuple(zip(self.keys, self.graphs()))
 
     def graphs(self) -> list[Graph]:
-        return [g for _, g in self.members]
+        return [Graph(self.order, tuple(row)) for row in self.rows.tolist()]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LevelSet) and (self.order, self.keys) == (other.order, other.keys)
+                and np.array_equal(self.rows, other.rows))
 
 
 class LevelCardinalityExceeded(Exception):
@@ -149,7 +172,7 @@ def find_forbidden_set(g: Graph, spec: ProblemSpec):
 
 def initial_level(spec: ProblemSpec) -> LevelSet:
     """The order-1 level: K1 (always a member, since ``ProblemSpec`` has j, i >= 2)."""
-    return LevelSet(1, (canonical_graph(single_vertex()),))
+    return LevelSet.from_keys(1, [canonical_form(single_vertex())])
 
 
 @lru_cache(maxsize=64)
@@ -188,9 +211,9 @@ def _lanes_with_sparse_set(planes: np.ndarray, k: int, size: int) -> np.ndarray:
     return found
 
 
-def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
-    """Index of the first of ``graphs``, all of one order, that fails
-    membership, or None when every one passes.
+def first_nonmember(rows: np.ndarray, spec: ProblemSpec) -> int | None:
+    """Index of the first graph of a (graphs x n) uint32 row array that
+    fails membership, or None when every one passes.
 
     The verdicts are ``verify_membership``'s, reached without witnesses for
     64 graphs per machine word: bit g of edge plane ``planes[u, v, w]`` is
@@ -200,18 +223,10 @@ def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
     graphs) are masked; chunks of graphs and of subsets keep each temporary
     within ``graphs._BROADCAST_ELEMENTS`` elements.
     """
-    graphs = iter(graphs)
-    first = next(graphs, None)
-    if first is None:
-        return None
-    n = first.order
-    step = _graphs_per_chunk(n)
-    graphs = chain([first], graphs)
-    for lo in count(0, step):
-        chunk = list(islice(graphs, step))
-        if not chunk:
-            return None
-        matrices = adjacency_matrices(row_array([g.adj for g in chunk], n)).transpose(1, 2, 0)
+    n = rows.shape[1]
+    for span in _spans(len(rows), n * n):
+        chunk = rows[span]
+        matrices = adjacency_matrices(chunk).transpose(1, 2, 0)
         planes = np.zeros((n, n, -(-len(chunk) // 64)), dtype="<u8")
         planes.view(np.uint8)[:, :, :-(-len(chunk) // 8)] = np.packbits(
             np.ascontiguousarray(matrices), axis=2, bitorder="little")
@@ -223,14 +238,8 @@ def first_nonmember(graphs: Iterable[Graph], spec: ProblemSpec) -> int | None:
             bad |= _lanes_with_sparse_set(complement, spec.k, spec.i)
         lanes = np.unpackbits(bad.view(np.uint8), count=len(chunk), bitorder="little")
         if lanes.any():
-            return lo + int(lanes.argmax())
-
-
-def _spans(count: int, width: int) -> Iterator[slice]:
-    """Consecutive slices of range(count), each of as many items of ``width``
-    elements as ``graphs._BROADCAST_ELEMENTS`` holds (at least one)."""
-    step = max(1, graph_module._BROADCAST_ELEMENTS // max(1, width))
-    return (slice(lo, lo + step) for lo in range(0, count, step))
+            return span.start + int(lanes.argmax())
+    return None
 
 
 def _sparse_sets(rows: np.ndarray, k: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -307,9 +316,9 @@ def _completes(rows: np.ndarray, owner: np.ndarray, sets: np.ndarray, k: int,
     bounds = np.searchsorted(table_owner, np.arange(len(rows) + 1))
     first, pairs = bounds[owner], bounds[owner + 1] - bounds[owner]
     ends = np.cumsum(pairs)
-    total, step = int(ends[-1]), graph_module._BROADCAST_ELEMENTS
-    for lo in range(0, total, step):
-        pair = np.arange(lo, min(lo + step, total))
+    total = int(ends[-1])
+    for span in _spans(total, 1):
+        pair = np.arange(*span.indices(total))
         x = np.searchsorted(ends, pair, side="right")
         t = first[x] + pair - (ends[x] - pairs[x])
         s = sets[x]
@@ -449,19 +458,16 @@ def reject_extension_slow(g: Graph, spec: ProblemSpec, s: VertexSet) -> bool:
     return False
 
 
-def _extend_entries(spec: ProblemSpec, parents: list[tuple[int, ...]]) -> list[CanonKey]:
+def _extend_entries(spec: ProblemSpec, rows: np.ndarray) -> list[CanonKey]:
     """Worker task: the canonical keys of the surviving children of the
-    parents (adjacency rows of one order).  The attachment sets of every
-    parent come from one ``_attachment_sets`` pass, and the children are
-    built and labeled ``_graphs_per_chunk`` at a time whichever parents they
+    parents of a (parents x n) uint32 row array.  The attachment sets of
+    every parent come from one ``_attachment_sets`` pass, and the children
+    are built and labeled a chunk of graphs at a time whichever parents they
     come from."""
-    n = len(parents[0])
-    rows = row_array(parents, n)
     owner, sets = _attachment_sets(rows, spec)
-    step = _graphs_per_chunk(n + 1)
     keys: list[CanonKey] = []
-    for lo in range(0, len(sets), step):
-        keys += canonical_forms(_child_rows(rows, owner[lo:lo + step], sets[lo:lo + step]))
+    for span in _spans(len(sets), (rows.shape[1] + 1) ** 2):
+        keys += canonical_forms(_child_rows(rows, owner[span], sets[span]))
     return keys
 
 
@@ -473,7 +479,7 @@ def level_at(spec: ProblemSpec, order: int) -> LevelSet:
     while level.order < order and len(level) > 0:
         level = level_step(level, spec)
     if level.order < order:
-        return LevelSet(order, ())
+        return LevelSet.from_keys(order, [])
     return level
 
 
@@ -482,23 +488,18 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
     """Extend every member by one vertex and deduplicate the next level.
 
     ``mapper(fn, tasks)`` runs the tasks, as the builtin ``map`` does
-    in-process; the driver passes a process pool's ``map``.  A task is a run
-    of ``_TASK_PARENTS`` consecutive parents.  Output is identical for any
-    mapper and any cut: tasks return only the canonical keys of the
-    children, the merge is a set of keys, and each class is decoded once
-    from its key, in key order, at the end.  ``max_cardinality`` is checked
-    after each task.
+    in-process; the driver passes a process pool's ``map``.  A task is the
+    rows of a run of ``_TASK_PARENTS`` consecutive parents.  Output is
+    identical for any mapper and any cut: tasks return only the canonical
+    keys of the children, the merge is a set of keys, and
+    ``LevelSet.from_keys`` decodes each class once from its key at the end.
+    ``max_cardinality`` is checked after each task.
     """
     next_order = level.order + 1
-    parents = [g.adj for _, g in level.members]
-    tasks = [parents[lo:lo + _TASK_PARENTS] for lo in range(0, len(parents), _TASK_PARENTS)]
+    tasks = [level.rows[lo:lo + _TASK_PARENTS] for lo in range(0, len(level), _TASK_PARENTS)]
     merged: set[CanonKey] = set()
     for keys in mapper(partial(_extend_entries, spec), tasks):
         merged.update(keys)
         if max_cardinality is not None and len(merged) > max_cardinality:
             raise LevelCardinalityExceeded(next_order, max_cardinality)
-    keys = sorted(merged)
-    step = _graphs_per_chunk(next_order)
-    graphs = chain.from_iterable(decode_keys(keys[lo:lo + step])
-                                 for lo in range(0, len(keys), step))
-    return LevelSet(next_order, tuple(zip(keys, graphs)))
+    return LevelSet.from_keys(next_order, sorted(merged))

@@ -12,9 +12,9 @@ resumed search can be poisoned.
 
 Both codecs have one implementation each, a numpy kernel over a (graphs x n)
 array of adjacency rows; ``graph6_encode`` and ``graph6_decode`` validate one
-graph or line and call it on a batch of one.  ``write_level`` and
-``read_level`` run a level through the kernels, and through the batched
-labeling, in chunks of ``graphs._graphs_per_chunk`` graphs.
+graph or line and call it on a batch of one.  ``write_level`` encodes a
+level's rows a chunk at a time; ``read_level`` decodes and labels the body a
+chunk at a time and leaves the level's rows to ``LevelSet.from_keys``.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .canon import canonical_forms, decode_keys
+from .canon import canonical_forms
 from .canon import canonical_graph  # noqa: F401  (perfbench/tracing.py swaps this name for a timed wrapper)
 from .enumeration import LevelSet, ProblemSpec
 from .errors import CapacityError, DecodeError, IntegrityError, SpecConflictError
 from .graphs import (
     MAX_N,
     Graph,
-    _graphs_per_chunk,
+    _spans,
     adjacency_matrices,
     matrix_rows,
     row_array,
@@ -68,7 +68,7 @@ def _graph6_lines(rows: np.ndarray) -> list[str]:
 
 
 def _graph6_rows(data: np.ndarray, n: int) -> np.ndarray:
-    """The (graphs x n) uint64 rows of checked graph6 lines of order ``n``, as a
+    """The (graphs x n) uint32 rows of checked graph6 lines of order ``n``, as a
     (graphs x characters) uint8 array."""
     sequence = np.arange(n * (n - 1) // 2)
     values = data[:, 1 + sequence // 6] - np.uint8(63)
@@ -125,10 +125,8 @@ def _body_digest(lines: list[str]) -> str:
 def write_level(level: LevelSet, spec: ProblemSpec, destination) -> None:
     """Write a level file; members appear in stored (canonical-key) order."""
     body = []
-    step = _graphs_per_chunk(level.order)
-    for lo in range(0, len(level), step):
-        chunk = [g.adj for _, g in level.members[lo:lo + step]]
-        body.extend(_graph6_lines(row_array(chunk, level.order)))
+    for span in _spans(len(level), level.order ** 2):
+        body += _graph6_lines(level.rows[span])
     lines = [_LEVEL_MAGIC]
     lines.extend(_spec_fields(spec))
     lines.append(f"order {level.order}")
@@ -163,7 +161,8 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     """Read and validate a level file; members are re-canonicalized.
 
     The body is decoded and labeled chunk by chunk (``_body_rows``,
-    ``canonical_forms``), and each class decoded from its sorted key.
+    ``canonical_forms``), and the level's rows are decoded from its sorted
+    keys (``LevelSet.from_keys``).
     """
     data = Path(source).read_bytes()
     try:
@@ -202,18 +201,14 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
         raise IntegrityError(f"level file digest mismatch: {actual} != {expected}")
 
     spec = ProblemSpec(k=k, j=j, i=i)
-    step = _graphs_per_chunk(order)
     keys = []
-    for lo in range(0, count, step):
-        keys.extend(canonical_forms(_body_rows(body[lo:lo + step], order)))
+    for span in _spans(count, order * order):
+        keys += canonical_forms(_body_rows(body[span], order))
     keys.sort()
     for key, next_key in zip(keys, keys[1:]):
         if key == next_key:
             raise IntegrityError("level file repeats an isomorphism class")
-    graphs = []
-    for lo in range(0, count, step):
-        graphs.extend(decode_keys(keys[lo:lo + step]))
-    return LevelSet(order, tuple(zip(keys, graphs))), spec
+    return LevelSet.from_keys(order, keys), spec
 
 
 def _body_rows(lines: list[str], order: int) -> np.ndarray:

@@ -32,7 +32,7 @@ VertexSet = int
 #: (members x subsets x words) edge gathers of its uint64 edge planes; and the
 #: (graphs x n x n) temporaries in which levels are decoded, labeled and
 #: encoded and in which ``canon.canonical_forms`` refines its search nodes.
-#: The set, pair, graph, node and subset axes are chunked to respect it.
+#: ``_spans`` chunks the set, pair, graph, node and subset axes to respect it.
 _BROADCAST_ELEMENTS = 1 << 16
 
 
@@ -125,10 +125,11 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(order, tuple(rows))
 
 
-def _graphs_per_chunk(n: int) -> int:
-    """How many graphs of order n one chunk takes, so that a (graphs x n x n)
-    temporary stays within ``_BROADCAST_ELEMENTS``."""
-    return max(1, _BROADCAST_ELEMENTS // max(1, n * n))
+def _spans(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each of as many items of ``width``
+    elements as ``_BROADCAST_ELEMENTS`` holds (at least one)."""
+    step = max(1, _BROADCAST_ELEMENTS // max(1, width))
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def row_array(adjacency: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
@@ -146,12 +147,12 @@ def adjacency_matrices(rows: np.ndarray) -> np.ndarray:
 
 
 def matrix_rows(matrices: np.ndarray) -> np.ndarray:
-    """The (graphs x rows) uint64 bitmasks of the rows of (graphs x rows x n)
-    bool matrices (n <= 64); ``adjacency_matrices`` inverted."""
+    """The (graphs x rows) uint32 bitmasks of the rows of (graphs x rows x n)
+    bool matrices (n <= MAX_N); ``adjacency_matrices`` inverted."""
     m, count, n = matrices.shape
-    octets = np.zeros((m, count, 8), dtype=np.uint8)
+    octets = np.zeros((m, count, 4), dtype=np.uint8)
     octets[:, :, :(n + 7) // 8] = np.packbits(matrices, axis=2, bitorder="little")
-    return octets.view("<u8")[:, :, 0].astype(np.uint64)
+    return octets.view("<u4")[:, :, 0].astype(np.uint32, copy=False)
 
 
 def upper_pairs(n: int) -> np.ndarray:

@@ -5,11 +5,13 @@ import textwrap
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
 
+import numpy as np
 import pytest
 
 from triramsey import (
     ConstructionError,
     LevelCardinalityExceeded,
+    LevelSet,
     ProblemSpec,
     add_vertex,
     are_isomorphic,
@@ -30,7 +32,7 @@ from triramsey import (
 )
 from triramsey import enumeration
 from triramsey.enumeration import reject_extension_slow
-from triramsey.graphs import _graphs_per_chunk, row_array
+from triramsey.graphs import _spans, row_array
 from triramsey.oracle import (
     brute_has_k_dense_set,
     brute_has_k_sparse_set,
@@ -193,14 +195,23 @@ def test_level_step_decodes_in_chunks(monkeypatch, bound):
     whole = level_at(spec, 8)
     monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", bound)
     chunked = level_at(spec, 8)
-    assert chunked == whole and len(chunked) > _graphs_per_chunk(8)
+    assert chunked == whole and next(_spans(len(chunked), 8 * 8)).stop < len(chunked)
     assert all(g == decode_key(key) for key, g in chunked.members)
+
+
+def test_level_rows_are_read_only():
+    spec = ProblemSpec(k=1, j=6)
+    for level in (level_at(spec, 6), LevelSet(4, [(b"", cycle(4))])):
+        with pytest.raises(ValueError):
+            level.rows[0, 0] = 1
+    assert LevelSet(4, [(b"", cycle(4))]).graphs() == [cycle(4)]
 
 
 @pytest.mark.parametrize("cut", ["one task", "a task per parent"])
 def test_level_step_agrees_for_any_task_cut(monkeypatch, cut):
     # The children of one task are labeled together, so the cut decides
-    # which graphs share a batch; the level must not depend on it.
+    # which graphs share a batch; the level must not depend on it.  A task
+    # is a slice of the level's uint32 rows, so no graph or tuple is pickled.
     spec = ProblemSpec(k=1, j=6)
     level = level_at(spec, 8)
     whole = level_step(level, spec)
@@ -209,6 +220,9 @@ def test_level_step_agrees_for_any_task_cut(monkeypatch, cut):
 
     def counting(fn, tasks):
         tasks = list(tasks)
+        assert all(isinstance(task, np.ndarray) and task.dtype == np.uint32
+                   and task.shape[1] == level.order and len(task) <= enumeration._TASK_PARENTS
+                   for task in tasks)
         cuts.append([len(task) for task in tasks])
         return map(fn, tasks)
 
@@ -228,7 +242,7 @@ KILL_ONE_WORKER = textwrap.dedent("""
     extend = enumeration._extend_entries
 
     def dying(spec, parents):
-        if repr(parents[0]) == os.environ.get("DIE_ON"):
+        if repr(parents[0].tolist()) == os.environ.get("DIE_ON"):
             os._exit(1)
         return extend(spec, parents)
 
@@ -237,7 +251,7 @@ KILL_ONE_WORKER = textwrap.dedent("""
     if __name__ == "__main__":
         spec = ProblemSpec(k=1, j=6)
         level = level_at(spec, 6)
-        os.environ["DIE_ON"] = repr(level.members[0][1].adj)
+        os.environ["DIE_ON"] = repr(level.rows[0].tolist())
         try:
             with ProcessPoolExecutor(2) as pool:
                 level_step(level, spec, mapper=pool.map)
@@ -330,10 +344,15 @@ def _member_pool(order: int) -> tuple:
     return tuple(g for spec in specs for g in level_at(spec, order).graphs())
 
 
+def _rows(graphs) -> np.ndarray:
+    """The row array of graphs of one order."""
+    return row_array([g.adj for g in graphs], graphs[0].order)
+
+
 def _nonmembers(graphs, spec) -> list[int]:
     """Every index ``first_nonmember`` reports, restarting after each one."""
-    found, start = [], 0
-    while (index := first_nonmember(graphs[start:], spec)) is not None:
+    rows, found, start = _rows(graphs), [], 0
+    while (index := first_nonmember(rows[start:], spec)) is not None:
         found.append(start + index)
         start += index + 1
     return found
@@ -378,13 +397,13 @@ def test_first_nonmember_returns_the_lowest_bad_index():
         assert brute_has_triangle(g) == (kind == "triangle")
         assert brute_has_k_sparse_set(g, 1, 4) == (kind == "sparse")
         assert brute_has_k_dense_set(g, 1, 4) == (kind == "dense")
-    assert first_nonmember([], spec) is None
-    assert first_nonmember([c5] * 3, spec) is None
+    assert first_nonmember(np.zeros((0, 5), dtype=np.uint32), spec) is None
+    assert first_nonmember(_rows([c5] * 3), spec) is None
     for bad in (triangle, sparse, dense):
-        assert first_nonmember([c5, c5, bad, c5, triangle, sparse, dense], spec) == 2
-    assert first_nonmember([dense, sparse, triangle], spec) == 0
-    assert first_nonmember(iter([c5, c5, c5, sparse]), spec) == 3
-    assert first_nonmember([c5, dense], ProblemSpec(k=1, j=4)) is None
+        assert first_nonmember(_rows([c5, c5, bad, c5, triangle, sparse, dense]), spec) == 2
+    assert first_nonmember(_rows([dense, sparse, triangle]), spec) == 0
+    assert first_nonmember(_rows([c5, c5, c5, sparse]), spec) == 3
+    assert first_nonmember(_rows([c5, dense]), ProblemSpec(k=1, j=4)) is None
 
 
 @pytest.mark.parametrize("bound", [None, 1])
@@ -401,12 +420,12 @@ def test_first_nonmember_at_word_boundaries(bound, monkeypatch):
     empty = build_graph(6, [])  # every 5-set is 1-sparse
     triangle = build_graph(6, [(0, 1), (1, 2), (0, 2)])
     for total in (63, 64, 65, 129):
-        assert first_nonmember([members[x % len(members)] for x in range(total)], spec) is None
+        assert first_nonmember(_rows([members[x % len(members)] for x in range(total)]), spec) is None
     for total, index, bad in ((129, 64, empty), (65, 64, triangle), (100, 99, empty),
                               (129, 128, triangle)):
         graphs = [members[x % len(members)] for x in range(total)]
         graphs[index] = bad
-        assert first_nonmember(graphs, spec) == index, (total, index)
+        assert first_nonmember(_rows(graphs), spec) == index, (total, index)
 
 
 @pytest.mark.parametrize("bound", [None, 2000])

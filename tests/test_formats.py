@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -174,6 +175,25 @@ def test_empty_level_round_trip(tmp_path):
     write_level(level, spec, target)
     loaded, _ = read_level(target)
     assert loaded.order == 5 and len(loaded) == 0
+
+
+def test_read_level_holds_keys_and_rows_only(tmp_path):
+    """A level read back holds its keys and one uint32 row array, no graph
+    objects: T_1(7)'s 1,511 order-9 classes take under 150 bytes each by
+    tracemalloc, where (key, Graph) pairs took about 220."""
+    spec = ProblemSpec(k=1, j=7)
+    target = tmp_path / "level-09.lvl"
+    write_level(level_at(spec, 9), spec, target)
+    read_level(target)  # fills the caches of the first call
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        level, _ = read_level(target)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(level) == 1511
+    assert held / len(level) < 150, held / len(level)
 
 
 def test_body_digest_pins():

@@ -22,6 +22,7 @@ from triramsey import (
     is_k_sparse_set,
 )
 from triramsey.enumeration import _extend_entries, reject_extension_slow, surviving_extension_sets
+from triramsey.graphs import row_array
 
 from .conftest import random_triangle_free
 
@@ -97,7 +98,7 @@ def test_task_keys_match_reference(seed, monkeypatch):
         for count in (len(parents), 1):
             expected = Counter(canonical_form(add_vertex(g, s))
                                for g, sets in zip(parents[:count], reference) for s in sets)
-            task = [g.adj for g in parents[:count]]
+            task = row_array([g.adj for g in parents[:count]], n)
             assert Counter(_extend_entries(spec, task)) == expected, (spec, count)
     # Some parent keeps sets under some spec, and some parent keeps none.
     assert 0 in sizes and max(sizes) > 0
