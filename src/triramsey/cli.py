@@ -27,6 +27,14 @@ EXIT_USAGE = 2
 EXIT_CAPPED = 3
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a cpuset or ``taskset`` narrows it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triramsey",
@@ -40,10 +48,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="forbidden dense-set size; omit for sparse-only mode")
         p.add_argument("--j", type=int, required=True, help="forbidden sparse-set size")
 
+    def add_workers_argument(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--workers", type=int, default=_usable_cpus(),
+                       help="processes that compute, this one included; N > 1 forks "
+                            "N - 1 helpers at the first step with two or more tasks "
+                            "(default: the CPUs this process may use)")
+
     p = sub.add_parser("compute", help="run the full search and print the number")
     add_spec_arguments(p)
     p.add_argument("--max-order", type=int, default=RunLimits.max_order)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    add_workers_argument(p)
     p.add_argument("--max-level-cardinality", type=int,
                    default=RunLimits.max_level_cardinality)
     p.add_argument("--checkpoint", type=Path, default=None,
@@ -62,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe-conjecture",
                        help="compare T_k(k+i) against k+2i-1 for 2 <= i <= k")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    add_workers_argument(p)
 
     p = sub.add_parser("encode", help="edge list tokens -> graph6")
     p.add_argument("tokens", nargs="*",

@@ -13,6 +13,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from .canon import canonical_graph
@@ -40,7 +42,8 @@ class RunLimits:
     ``max_level_cardinality`` is checked after each level-step task, so a
     run that trips it may first hold the distinct children of up to one task
     (``enumeration._TASK_PARENTS`` parents) beyond the bound, plus that
-    task's keys before deduplication.
+    task's keys before deduplication.  ``worker_count`` is the number of
+    processes that compute level-step tasks, the calling one included.
     """
 
     max_order: int = MAX_N
@@ -85,6 +88,31 @@ def _write_checkpoint(level: LevelSet, spec: ProblemSpec, limits: RunLimits) -> 
     write_level(level, spec, directory / level_filename(level.order))
 
 
+def _shared_map(pool: ProcessPoolExecutor, helpers: int, fn, tasks):
+    """Yield ``fn(task)`` for every task, computed here and in ``pool``.
+
+    This process takes one task, tops the pool's queue up to two tasks per
+    helper, runs its own task and yields it with every helper result that
+    has finished, then repeats; results come in no fixed order.  A step of
+    one task submits nothing.  Closing the generator cancels every queued
+    task no helper has started.
+    """
+    tasks = iter(tasks)
+    queued = []
+    try:
+        for task in tasks:
+            queued += [pool.submit(fn, more) for more in islice(tasks, 2 * helpers - len(queued))]
+            yield fn(task)
+            for future in [future for future in queued if future.done()]:
+                queued.remove(future)
+                yield future.result()
+        while queued:
+            yield queued.pop(0).result()
+    finally:
+        for future in queued:
+            future.cancel()
+
+
 def _iterate(spec: ProblemSpec, limits: RunLimits, level: LevelSet,
              resumed_from: int | None, previous: LevelSet | None = None) -> RunReport:
     """Grow ``level`` until it empties or a limit stops the run.
@@ -92,14 +120,16 @@ def _iterate(spec: ProblemSpec, limits: RunLimits, level: LevelSet,
     ``previous`` is the level below ``level``, when known; an empty level
     without one (a resumed file with no sibling) decides the value but not
     the extremal graphs, so the run reports ``capped`` with that value.
-    With more than one worker, one process pool serves every level step of
-    the run; a worker process that dies raises ``BrokenProcessPool``.
+    With ``worker_count`` N > 1, this process computes alongside one pool
+    of N - 1 helper processes that serves every level step of the run
+    (``_shared_map``); the helpers fork at the first step with two or more
+    tasks, and a helper that dies raises ``BrokenProcessPool``.
     """
     counts: dict[int, int] = {} if previous is None else {previous.order: len(previous)}
     times: dict[int, float] = {level.order: 0.0}
-    workers = limits.worker_count
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        mapper = map if pool is None else pool.map
+    helpers = limits.worker_count - 1
+    with ProcessPoolExecutor(helpers) if helpers else nullcontext() as pool:
+        mapper = map if pool is None else partial(_shared_map, pool, helpers)
         while True:
             counts[level.order] = len(level)
             _write_checkpoint(level, spec, limits)

@@ -488,7 +488,8 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
     """Extend every member by one vertex and deduplicate the next level.
 
     ``mapper(fn, tasks)`` runs the tasks, as the builtin ``map`` does
-    in-process; the driver passes a process pool's ``map``.  A task is the
+    in-process; the driver's mapper also runs them in helper processes, in
+    no fixed order.  A task is the
     rows of a run of ``_TASK_PARENTS`` consecutive parents.  Output is
     identical for any mapper and any cut: tasks return only the canonical
     keys of the children, the merge is a set of keys, and

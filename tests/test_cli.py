@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import os
 import textwrap
 
 import pytest
 
 from triramsey import build_graph, cycle, complete_bipartite, graph6_decode, graph6_encode
-from triramsey.cli import main
+from triramsey.cli import _build_parser, main
 
 from .conftest import FIGURE_9_EDGES, petersen, run_script
 
@@ -156,6 +157,17 @@ def test_oracle_verify_order_zero_is_usage_error(capsys):
     assert "order 0" in err
 
 
+@pytest.mark.parametrize("command", [["compute", "--k", "1", "--j", "3"],
+                                     ["probe-conjecture", "--k-max", "2"]])
+def test_workers_default_is_the_usable_cpus(monkeypatch, command):
+    # Under a cpuset or taskset the affinity mask, not the machine, counts.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _build_parser().parse_args(command).workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _build_parser().parse_args(command).workers == 8
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["compute", "--k", "1"])  # missing --j
@@ -163,6 +175,7 @@ def test_usage_error_exit_code():
 
 
 KILL_A_WORKER_IN_CLI = textwrap.dedent("""
+    import multiprocessing
     import os
     import sys
 
@@ -172,7 +185,8 @@ KILL_A_WORKER_IN_CLI = textwrap.dedent("""
     extend = enumeration._extend_entries
 
     def dying(spec, parents):
-        if len(parents[0]) == 6:  # parents of order 6
+        # Parents of order 6, in a helper: the calling process computes too.
+        if len(parents[0]) == 6 and multiprocessing.parent_process() is not None:
             os._exit(1)
         return extend(spec, parents)
 

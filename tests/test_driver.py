@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import multiprocessing.process
 import textwrap
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,13 +23,14 @@ from triramsey import (
     complete_bipartite,
     cycle,
     driver,
+    enumeration,
     find_forbidden_set,
     graph6_encode,
     level_at,
     probe_conjecture,
     write_level,
 )
-from triramsey.enumeration import LevelSet
+from triramsey.enumeration import LevelCardinalityExceeded, LevelSet, level_step
 from triramsey.formats import level_filename
 from triramsey.canon import canonical_graph
 
@@ -201,26 +205,95 @@ def test_probe_conjecture_shares_reports():
     assert all(c.agrees for c in again)
 
 
-def test_one_pool_per_run(monkeypatch):
-    opened = []
+@pytest.fixture
+def counted(monkeypatch):
+    """Record the helper count of each pool a run opens, every task it
+    submits and every process it starts (``BaseProcess.start``, whatever the
+    start method)."""
+    seen = SimpleNamespace(opened=[], submitted=[], started=[])
 
     class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            opened.append(self)
+        def __init__(self, helpers):
+            super().__init__(helpers)
+            seen.opened.append(helpers)
+
+        def submit(self, fn, *args):
+            seen.submitted.append(args)
+            return super().submit(fn, *args)
+
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted_start(process):
+        seen.started.append(process)
+        start(process)
 
     monkeypatch.setattr(driver, "ProcessPoolExecutor", CountingPool)
-    spec = ProblemSpec(k=1, j=5)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+    return seen
+
+
+def test_one_pool_per_run(counted):
+    # T_1(6) has 34 parents at order 6 and 83 at order 7: multi-task steps.
+    spec = ProblemSpec(k=1, j=6)
     two = compute_number(spec, RunLimits(worker_count=2))
-    assert len(opened) == 1
+    assert counted.opened == [1] and counted.submitted
+    assert len(counted.started) == 1  # the one helper; this process computes too
     one = compute_number(spec, RunLimits(worker_count=1))
-    assert len(opened) == 1
+    assert counted.opened == [1]
     assert (two.value, two.per_level_counts) == (one.value, one.per_level_counts)
     assert extremal_lines(two) == extremal_lines(one)
 
 
+def test_single_task_steps_start_no_process(counted):
+    # Every level of T_1(5) holds at most 30 parents, one task of 32.
+    report = compute_number(ProblemSpec(k=1, j=5), RunLimits(worker_count=2))
+    assert report.value == 11
+    assert max(report.per_level_counts.values()) <= enumeration._TASK_PARENTS
+    assert counted.opened == [1]
+    assert counted.submitted == [] and counted.started == []
+
+
+def test_levels_identical_on_one_two_and_three_workers(tmp_path):
+    spec = ProblemSpec(k=1, j=6)
+    files = {}
+    for workers in (1, 2, 3):
+        directory = tmp_path / f"w{workers}"
+        report = compute_number(spec, RunLimits(max_order=10, worker_count=workers,
+                                                checkpoint_dir=directory))
+        assert report.status == CAPPED
+        files[workers] = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    assert len(files[1]) == 10
+    assert files[1] == files[2] == files[3]
+
+
+def _logged(log, fn, task):
+    with open(log, "a") as out:
+        out.write("task\n")
+    return fn(task)
+
+
+def test_capped_shared_step_skips_queued_tasks(tmp_path, monkeypatch):
+    # The runner keeps at most two tasks per helper queued; when the guard
+    # fires, the queued tasks no helper has started are cancelled, so the
+    # step returns after a few of its tasks.
+    spec = ProblemSpec(k=1, j=7)
+    level = level_at(spec, 8)
+    monkeypatch.setattr(enumeration, "_TASK_PARENTS", 4)
+    tasks = -(-len(level) // 4)
+    log = tmp_path / "tasks.log"
+    with ProcessPoolExecutor(1) as pool:
+        def mapper(fn, tasks):
+            return driver._shared_map(pool, 1, partial(_logged, log, fn), tasks)
+
+        with pytest.raises(LevelCardinalityExceeded):
+            level_step(level, spec, mapper=mapper, max_cardinality=30)
+    assert 1 < len(log.read_text().splitlines()) < tasks // 4
+
+
 KILL_A_WORKER_IN_RUN = textwrap.dedent("""
+    import multiprocessing
     import os
+    import sys
     from concurrent.futures.process import BrokenProcessPool
 
     from triramsey import ProblemSpec, RunLimits, compute_number, enumeration
@@ -228,7 +301,8 @@ KILL_A_WORKER_IN_RUN = textwrap.dedent("""
     extend = enumeration._extend_entries
 
     def dying(spec, parents):
-        if len(parents[0]) == 6:  # parents of order 6
+        # Parents of order 6, in a helper: the calling process computes too.
+        if len(parents[0]) == 6 and multiprocessing.parent_process() is not None:
             os._exit(1)
         return extend(spec, parents)
 
@@ -236,13 +310,18 @@ KILL_A_WORKER_IN_RUN = textwrap.dedent("""
 
     if __name__ == "__main__":
         try:
-            compute_number(ProblemSpec(k=1, j=6), RunLimits(worker_count=2))
+            compute_number(ProblemSpec(k=1, j=6), RunLimits(worker_count=int(sys.argv[1])))
         except BrokenProcessPool:
             print("broken pool")
 """)
 
 
 def test_killed_worker_breaks_the_run(tmp_path):
-    """A worker process that dies mid-run raises instead of hanging the run."""
-    result = run_script(tmp_path, KILL_A_WORKER_IN_RUN)
+    """A helper process that dies mid-run raises instead of hanging the run."""
+    result = run_script(tmp_path, KILL_A_WORKER_IN_RUN, "2")
+    assert result.stdout.strip() == "broken pool", result.stderr
+
+
+def test_one_of_two_helpers_dying_breaks_the_run(tmp_path):
+    result = run_script(tmp_path, KILL_A_WORKER_IN_RUN, "3")
     assert result.stdout.strip() == "broken pool", result.stderr
