@@ -41,8 +41,10 @@ class RunLimits:
 
     ``max_level_cardinality`` is checked after each level-step task, so a
     run that trips it may first hold the distinct children of up to one task
-    (``enumeration._TASK_PARENTS`` parents) beyond the bound, plus that
-    task's keys before deduplication.  ``worker_count`` is the number of
+    beyond the bound, plus that task's keys before deduplication.  A task at
+    order n holds at most the parents of one batch, 2**16 // n**2 of them
+    (1,024 at order 8, 291 at order 15), so the overshoot is up to that many
+    parents' children.  ``worker_count`` is the number of
     processes that compute level-step tasks, the calling one included.
     """
 

@@ -16,7 +16,11 @@ A level is its sorted keys plus the (members x n) rows of the canonically
 labeled members, so levels are byte-stable regardless of worker count or
 merge order: a child travels as its key alone, and ``LevelSet.from_keys``
 decodes each class once from it.  A step cuts the rows into runs of
-consecutive parents, one task each.
+consecutive parents, one task each: the fewest runs of at most as many
+parents as one batch holds graphs of their order, of near-equal lengths
+(``_spans(parents, n * n)``), so at most 2**16 // n**2 parents at the
+default ``graphs._BROADCAST_ELEMENTS`` (1,024 at order 8, 541 at order 11,
+291 at order 15).
 
 A task is one array pipeline over the (parents x n) row array of its run
 (``_attachment_sets``): the independent sets of every parent, built by
@@ -29,8 +33,15 @@ and joins every attachment set with its own parent's sets only.  The
 children's rows are then built from the parents' rows and labeled with
 ``canonical_forms`` a chunk at a time, so one numpy batch spans many
 parents.  Masks cover the parent's vertices only (< 2**MAX_N), so int64
-arithmetic never overflows, and every temporary is chunked to stay within
-``graphs._BROADCAST_ELEMENTS`` elements.
+arithmetic never overflows.  The (sets x n) counts of rule (a), the
+candidates of each round of ``_sparse_sets``, the (set, sparse set) pairs
+of the filter and the children's labeling batches are chunked to stay
+within ``graphs._BROADCAST_ELEMENTS`` elements.  Two kinds of array are
+not: the flat arrays of independent sets that the doubling builds, and the
+``_sparse_sets`` tables.  Both hold every set of every parent of the task,
+so they are bounded by the task's size alone and grow with its parents
+(the tracemalloc peak of one task of order-15 R_4(9,11) parents is 3.0 MB
+at 32 parents and 46 MB at 512).
 
 A resumed level is re-checked in full by ``first_nonmember``, 64 graphs of
 one order per machine word of bit-sliced edge planes, with a saturating
@@ -64,12 +75,6 @@ from .graphs import (
     row_array,
     single_vertex,
 )
-
-#: How many consecutive parents make one ``level_step`` task.  A task's
-#: attachment sets are found and its children labeled together, so its
-#: batches span parents; the number of tasks grows with the level, whatever
-#: the worker count.
-_TASK_PARENTS = 32
 
 
 @dataclass(frozen=True)
@@ -275,7 +280,7 @@ def _sparse_sets(rows: np.ndarray, k: int, size: int) -> tuple[np.ndarray, np.nd
         for span in _spans(table.shape[1], n):
             top = table[1, span].astype(np.int64)
             counts = n - size + members - top
-            source = np.repeat(np.arange(table.shape[1])[span], counts)
+            source = np.repeat(np.arange(*span.indices(table.shape[1])), counts)
             # A set's candidates are the vertices top + 1, top + 2, ... in turn.
             vertex = np.arange(len(source)) - np.repeat(np.cumsum(counts) - counts - top - 1, counts)
             row = flat[table[0, source] * n + vertex]
@@ -489,15 +494,19 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
 
     ``mapper(fn, tasks)`` runs the tasks, as the builtin ``map`` does
     in-process; the driver's mapper also runs them in helper processes, in
-    no fixed order.  A task is the
-    rows of a run of ``_TASK_PARENTS`` consecutive parents.  Output is
+    no fixed order.  A task is the rows of a run of consecutive parents, at
+    most as many as one batch holds graphs of the level's order, and the
+    runs are as few as that allows and of near-equal lengths
+    (``_spans(len(level), order ** 2)``), so a task's calls pay their fixed
+    cost once per batch rather than once per few parents, and no worker
+    waits on a long task while another has a short remainder.  Output is
     identical for any mapper and any cut: tasks return only the canonical
     keys of the children, the merge is a set of keys, and
     ``LevelSet.from_keys`` decodes each class once from its key at the end.
     ``max_cardinality`` is checked after each task.
     """
     next_order = level.order + 1
-    tasks = [level.rows[lo:lo + _TASK_PARENTS] for lo in range(0, len(level), _TASK_PARENTS)]
+    tasks = [level.rows[span] for span in _spans(len(level), level.order ** 2)]
     merged: set[CanonKey] = set()
     for keys in mapper(partial(_extend_entries, spec), tasks):
         merged.update(keys)

@@ -33,6 +33,8 @@ VertexSet = int
 #: (graphs x n x n) temporaries in which levels are decoded, labeled and
 #: encoded and in which ``canon.canonical_forms`` refines its search nodes.
 #: ``_spans`` chunks the set, pair, graph, node and subset axes to respect it.
+#: ``enumeration.level_step`` cuts a level of order n into tasks of at most
+#: ``_BROADCAST_ELEMENTS // n**2`` parents, one batch of graphs of that order.
 _BROADCAST_ELEMENTS = 1 << 16
 
 
@@ -126,10 +128,12 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def _spans(count: int, width: int) -> Iterator[slice]:
-    """Consecutive slices of range(count), each of as many items of ``width``
-    elements as ``_BROADCAST_ELEMENTS`` holds (at least one)."""
-    step = max(1, _BROADCAST_ELEMENTS // max(1, width))
-    return (slice(lo, lo + step) for lo in range(0, count, step))
+    """Consecutive slices of range(count), as few as hold at most as many
+    items of ``width`` elements as ``_BROADCAST_ELEMENTS`` does (at least
+    one), and of lengths that differ by at most one, so that no slice is a
+    short remainder."""
+    pieces = -(-count // max(1, _BROADCAST_ELEMENTS // max(1, width)))
+    return (slice(x * count // pieces, (x + 1) * count // pieces) for x in range(pieces))
 
 
 def row_array(adjacency: Sequence[tuple[int, ...]], n: int) -> np.ndarray:

@@ -238,7 +238,7 @@ def test_wide_search_trees(monkeypatch, g, per_chunk):
     key = canonical_form(g)
     if per_chunk is not None:
         monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", per_chunk * n * n)
-        assert next(_spans(200, n * n)) == slice(0, per_chunk)
+        assert next(_spans(160, n * n)) == slice(0, per_chunk)
     rng = random.Random(22)
     copies = [permute(g, random_permutation(rng, n)) for _ in range(20)]
     assert [canonical_forms(row_array([c], n))[0] for c in copies] == [key] * 20

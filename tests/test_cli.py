@@ -179,9 +179,12 @@ KILL_A_WORKER_IN_CLI = textwrap.dedent("""
     import os
     import sys
 
-    from triramsey import enumeration
+    from triramsey import enumeration, graphs
     from triramsey.cli import main
 
+    # Tasks of 1024 // n**2 parents, so the 34 parents of order 6 make two
+    # tasks and one reaches a helper.
+    graphs._BROADCAST_ELEMENTS = 1 << 10
     extend = enumeration._extend_entries
 
     def dying(spec, parents):

@@ -23,7 +23,6 @@ from triramsey import (
     complete_bipartite,
     cycle,
     driver,
-    enumeration,
     find_forbidden_set,
     graph6_encode,
     level_at,
@@ -32,6 +31,7 @@ from triramsey import (
 )
 from triramsey.enumeration import LevelCardinalityExceeded, LevelSet, level_step
 from triramsey.formats import level_filename
+from triramsey.graphs import _spans
 from triramsey.canon import canonical_graph
 
 from .conftest import run_script
@@ -232,8 +232,10 @@ def counted(monkeypatch):
     return seen
 
 
-def test_one_pool_per_run(counted):
-    # T_1(6) has 34 parents at order 6 and 83 at order 7: multi-task steps.
+def test_one_pool_per_run(counted, monkeypatch):
+    # T_1(6) has 34 parents at order 6 and 83 at order 7: multi-task steps
+    # once a task holds 1024 // n**2 of them (28 at order 6, 20 at order 7).
+    monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", 1 << 10)
     spec = ProblemSpec(k=1, j=6)
     two = compute_number(spec, RunLimits(worker_count=2))
     assert counted.opened == [1] and counted.submitted
@@ -245,12 +247,26 @@ def test_one_pool_per_run(counted):
 
 
 def test_single_task_steps_start_no_process(counted):
-    # Every level of T_1(5) holds at most 30 parents, one task of 32.
+    # Every level of T_1(5) holds at most 30 parents, one task of them.
     report = compute_number(ProblemSpec(k=1, j=5), RunLimits(worker_count=2))
     assert report.value == 11
-    assert max(report.per_level_counts.values()) <= enumeration._TASK_PARENTS
+    assert all(len(list(_spans(count, order ** 2))) <= 1
+               for order, count in report.per_level_counts.items())
     assert counted.opened == [1]
     assert counted.submitted == [] and counted.started == []
+
+
+def test_helpers_fork_at_the_first_level_past_one_task(counted):
+    # T_1(7) holds at most 376 parents below order 9, one task each (1,024
+    # parents a task at order 8); its 1,511 order-9 parents make two tasks.
+    spec = ProblemSpec(k=1, j=7)
+    compute_number(spec, RunLimits(max_order=9, worker_count=2))
+    assert counted.opened == [1]
+    assert counted.submitted == [] and counted.started == []
+    report = compute_number(spec, RunLimits(max_order=10, worker_count=2))
+    assert report.per_level_counts[9] == 1511
+    assert counted.opened == [1, 1]
+    assert len(counted.submitted) == 1 and len(counted.started) == 1
 
 
 def test_levels_identical_on_one_two_and_three_workers(tmp_path):
@@ -278,7 +294,7 @@ def test_capped_shared_step_skips_queued_tasks(tmp_path, monkeypatch):
     # step returns after a few of its tasks.
     spec = ProblemSpec(k=1, j=7)
     level = level_at(spec, 8)
-    monkeypatch.setattr(enumeration, "_TASK_PARENTS", 4)
+    monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", 4 * level.order ** 2)
     tasks = -(-len(level) // 4)
     log = tmp_path / "tasks.log"
     with ProcessPoolExecutor(1) as pool:
@@ -296,8 +312,11 @@ KILL_A_WORKER_IN_RUN = textwrap.dedent("""
     import sys
     from concurrent.futures.process import BrokenProcessPool
 
-    from triramsey import ProblemSpec, RunLimits, compute_number, enumeration
+    from triramsey import ProblemSpec, RunLimits, compute_number, enumeration, graphs
 
+    # Tasks of 1024 // n**2 parents, so the 34 parents of order 6 make two
+    # tasks and one reaches a helper.
+    graphs._BROADCAST_ELEMENTS = 1 << 10
     extend = enumeration._extend_entries
 
     def dying(spec, parents):

@@ -132,11 +132,10 @@ def test_attachment_set_totals(spec, max_order, total):
     are counted a task of parents at a time, as ``level_step`` takes them."""
     level = initial_level(spec)
     seen = 0
-    step = enumeration._TASK_PARENTS
     while len(level) > 0 and level.order < max_order:
         rows = row_array([g.adj for g in level.graphs()], level.order)
-        seen += sum(len(enumeration._attachment_sets(rows[lo:lo + step], spec)[1])
-                    for lo in range(0, len(rows), step))
+        seen += sum(len(enumeration._attachment_sets(rows[span], spec)[1])
+                    for span in _spans(len(rows), level.order ** 2))
         level = level_step(level, spec)
     assert seen == total
 
@@ -215,13 +214,14 @@ def test_level_step_agrees_for_any_task_cut(monkeypatch, cut):
     spec = ProblemSpec(k=1, j=6)
     level = level_at(spec, 8)
     whole = level_step(level, spec)
-    monkeypatch.setattr(enumeration, "_TASK_PARENTS", len(level) if cut == "one task" else 1)
+    per_task = len(level) if cut == "one task" else 1
+    monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", per_task * level.order ** 2)
     cuts = []
 
     def counting(fn, tasks):
         tasks = list(tasks)
         assert all(isinstance(task, np.ndarray) and task.dtype == np.uint32
-                   and task.shape[1] == level.order and len(task) <= enumeration._TASK_PARENTS
+                   and task.shape[1] == level.order and len(task) <= per_task
                    for task in tasks)
         cuts.append([len(task) for task in tasks])
         return map(fn, tasks)
@@ -230,6 +230,32 @@ def test_level_step_agrees_for_any_task_cut(monkeypatch, cut):
     assert cuts == [[len(level)] if cut == "one task" else [1] * len(level)]
     with ProcessPoolExecutor(2) as pool:
         assert level_step(level, spec, mapper=pool.map) == whole
+
+
+@pytest.mark.parametrize("bound", [None, 1 << 12])
+def test_level_step_tasks_are_batch_spans(monkeypatch, bound):
+    # A task holds at most as many consecutive parents as one batch holds
+    # graphs of the level's order, and the tasks are as few as that allows,
+    # of near-equal lengths: the 1,511 order-9 parents of T_1(7) make two
+    # tasks at the default bound (755 + 756, at most 809 each) and 31 at
+    # 2**12 (48 or 49, at most 50 each).
+    spec = ProblemSpec(k=1, j=7)
+    level = level_at(spec, 9)
+    if bound is not None:
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", bound)
+    spans = list(_spans(len(level), level.order ** 2))
+    assert len(spans) == (2 if bound is None else 31)
+    assert {span.stop - span.start for span in spans} == ({755, 756} if bound is None else {48, 49})
+    cuts = []
+
+    def counting(fn, tasks):
+        cuts.append(list(tasks))
+        return map(fn, cuts[-1])
+
+    level_step(level, spec, mapper=counting)
+    assert len(cuts) == 1 and len(cuts[0]) == len(spans)
+    assert all(np.shares_memory(task, level.rows) and np.array_equal(task, level.rows[span])
+               for task, span in zip(cuts[0], spans))
 
 
 KILL_ONE_WORKER = textwrap.dedent("""
@@ -282,24 +308,26 @@ def test_cardinality_guard():
         level_step(level, spec, max_cardinality=3)
 
 
-def test_cardinality_guard_trips_within_one_task():
+def test_cardinality_guard_trips_within_one_task(monkeypatch):
     # Partway through a level of many tasks: the step stops at the first task
     # whose children carry the merge past the bound, so it overshoots by at
     # most one task's children.
     spec = ProblemSpec(k=1, j=7)
     level = level_at(spec, 8)
     bound = 700  # of the 1,511 classes of order 9
+    per_task = 32  # the 376 parents fit one task at the default batch size
+    monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", per_task * level.order ** 2)
     ran = []
 
     def lazy(fn, tasks):
         for task in tasks:
-            assert len(task) <= enumeration._TASK_PARENTS
+            assert len(task) <= per_task
             ran.append(set(fn(task)))
             yield ran[-1]
 
     with pytest.raises(LevelCardinalityExceeded):
         level_step(level, spec, mapper=lazy, max_cardinality=bound)
-    assert 1 < len(ran) < -(-len(level) // enumeration._TASK_PARENTS)
+    assert 1 < len(ran) < -(-len(level) // per_task)
     assert len(set().union(*ran[:-1])) <= bound < len(set().union(*ran))
 
 
@@ -315,7 +343,7 @@ def test_capped_pooled_step_skips_queued_tasks(tmp_path, monkeypatch):
     # a few tasks instead of running all of them.
     spec = ProblemSpec(k=1, j=7)
     level = level_at(spec, 8)
-    monkeypatch.setattr(enumeration, "_TASK_PARENTS", 4)
+    monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", 4 * level.order ** 2)
     tasks = -(-len(level) // 4)
     log = tmp_path / "tasks.log"
     with ProcessPoolExecutor(2) as pool:
