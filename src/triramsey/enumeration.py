@@ -27,25 +27,26 @@ A task is one array pipeline over the (parents x n) row array of its run
 doubling over the vertices with rule (b) applied on the way, rule (a), and
 the forbidden-set filter come out as flat arrays of sets, each tagged with
 the parent it belongs to.  The filter lists each parent's k-sparse
-(j-1)-sets, grown one vertex at a time so that only k-sparse sets are ever
-extended, together with their members whose internal degree is already k,
-and joins every attachment set with its own parent's sets only.  The
+(j-1)-sets with their members whose internal degree is already k, and
+joins every attachment set with its own parent's sets only.  The
 children's rows are then built from the parents' rows and labeled with
 ``canonical_forms`` a chunk at a time, so one numpy batch spans many
 parents.  Masks cover the parent's vertices only (< 2**MAX_N), so int64
-arithmetic never overflows.  The (sets x n) counts of rule (a), the
-candidates of each round of ``_sparse_sets``, the (set, sparse set) pairs
-of the filter and the children's labeling batches are chunked to stay
-within ``graphs._BROADCAST_ELEMENTS`` elements.  Two kinds of array are
-not: the flat arrays of independent sets that the doubling builds, and the
-``_sparse_sets`` tables.  Both hold every set of every parent of the task,
-so they are bounded by the task's size alone and grow with its parents
-(the tracemalloc peak of one task of order-15 R_4(9,11) parents is 3.0 MB
-at 32 parents and 46 MB at 512).
+arithmetic never overflows.  The (sets x n) counts of rule (a), the subset
+counts, the (set, sparse set) pairs of the filter and the labeling batches
+are chunked to stay within ``graphs._BROADCAST_ELEMENTS`` elements.  The
+flat arrays of independent sets and the ``_sparse_sets`` tables are not:
+they hold every set of every parent of the task, so they grow with its
+parents (the tracemalloc peak of one task of order-15 R_4(9,11) parents is
+2.1 MB at 32 parents and 11 MB at 512).
 
-A resumed level is re-checked in full by ``first_nonmember``, 64 graphs of
-one order per machine word of bit-sliced edge planes, with a saturating
-count per member of every j-subset (and i-subset of the complement).
+One kernel, ``_subset_counts``, finds k-sparse sets for both the filter
+and the resume check: a saturating count per member of every subset of a
+size, for 64 graphs of one order per machine word of bit-sliced edge
+planes.  ``_sparse_sets`` reads a task's tables from it, and
+``first_nonmember`` re-checks a resumed level in full: every j-subset,
+every i-subset of the complement, and every 3-subset of the complement for
+triangles.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -191,29 +192,39 @@ def _subset_table(n: int, size: int) -> np.ndarray:
     return members
 
 
-def _lanes_with_sparse_set(planes: np.ndarray, k: int, size: int) -> np.ndarray:
-    """The lanes of (n x n x words) edge planes whose graph has a k-sparse
-    ``size``-set: a subset none of whose members has more than k neighbours
-    in it.  Per subset (a column of ``_subset_table``) and member, the count
-    of its neighbours in the subset is kept saturated at k + 1 as bit planes,
-    ``levels[c]`` = "more than c so far"; round r adds, at every member
-    position, the edge to the member r positions on, cyclically."""
+def _edge_planes(rows: np.ndarray) -> np.ndarray:
+    """The (n x n x words) uint64 edge planes of a (graphs x n) uint32 row
+    array: bit g of ``planes[u, v, w]`` is edge uv of graph 64 w + g.  Lanes
+    past the last graph hold empty graphs."""
+    n, words = rows.shape[1], -(-len(rows) // 64)
+    matrices = adjacency_matrices(rows).transpose(1, 2, 0)
+    planes = np.zeros((n, n, words), dtype="<u8")
+    planes.view(np.uint8)[:, :, :-(-len(rows) // 8)] = np.packbits(
+        np.ascontiguousarray(matrices), axis=2, bitorder="little")
+    return planes
+
+
+def _subset_counts(planes: np.ndarray, k: int, size: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Per chunk of the columns of ``_subset_table(n, size)``: its slice and,
+    in every lane of (n x n x words) edge planes, the (levels x size x
+    subsets x words) saturating counts, ``levels[c]`` = "this member has
+    more than c neighbours in the subset" for c up to min(k, size - 1); a
+    subset is k-sparse where ``levels[-1]`` is empty.  Round r adds, at
+    every member position, the edge to the member r positions on, cyclically."""
     n, _, words = planes.shape
     flat = planes.reshape(n * n, words)
     members = _subset_table(n, size)
-    k = min(k, size - 1)  # no member has more than size - 1 neighbours in its subset
-    found = np.zeros(words, dtype=planes.dtype)
-    for span in _spans(members.shape[1], (k + 1) * size * words):
+    top = min(k, size - 1)
+    for span in _spans(members.shape[1], (top + 1) * size * words):
         pairs = members[:, span] * np.intp(n)
         partners = np.concatenate((members[:, span],) * 2)
-        levels = np.zeros((k + 1,) + pairs.shape + (words,), dtype=planes.dtype)
+        levels = np.zeros((top + 1,) + pairs.shape + (words,), dtype=planes.dtype)
         for r in range(1, size):
             edge = np.take(flat, pairs + partners[r:r + size], axis=0)
-            for c in range(min(k, r - 1), 0, -1):
+            for c in range(min(top, r - 1), 0, -1):
                 levels[c] |= levels[c - 1] & edge
             levels[0] |= edge
-        found |= np.bitwise_or.reduce(~np.bitwise_or.reduce(levels[k], axis=0), axis=0)
-    return found
+        yield span, levels
 
 
 def first_nonmember(rows: np.ndarray, spec: ProblemSpec) -> int | None:
@@ -221,27 +232,26 @@ def first_nonmember(rows: np.ndarray, spec: ProblemSpec) -> int | None:
     fails membership, or None when every one passes.
 
     The verdicts are ``verify_membership``'s, reached without witnesses for
-    64 graphs per machine word: bit g of edge plane ``planes[u, v, w]`` is
-    edge uv of graph 64 w + g of a chunk.  ``_lanes_with_sparse_set`` finds
+    64 graphs per machine word of ``_edge_planes``: ``_subset_counts`` finds
     k-sparse j-sets, k-dense i-sets in the complement planes, and triangles
-    as 0-sparse 3-sets of the complement.  Lanes past the last graph (empty
-    graphs) are masked; chunks of graphs and of subsets keep each temporary
-    within ``graphs._BROADCAST_ELEMENTS`` elements.
+    as 0-sparse 3-sets of the complement.  Lanes past the last graph are
+    masked; chunks of graphs and of subsets keep each temporary within
+    ``graphs._BROADCAST_ELEMENTS`` elements, and the check stops at the
+    first chunk of graphs with a nonmember.
     """
     n = rows.shape[1]
     for span in _spans(len(rows), n * n):
-        chunk = rows[span]
-        matrices = adjacency_matrices(chunk).transpose(1, 2, 0)
-        planes = np.zeros((n, n, -(-len(chunk) // 64)), dtype="<u8")
-        planes.view(np.uint8)[:, :, :-(-len(chunk) // 8)] = np.packbits(
-            np.ascontiguousarray(matrices), axis=2, bitorder="little")
+        planes = _edge_planes(rows[span])
         complement = ~planes
         complement[range(n), range(n)] = 0
-        bad = _lanes_with_sparse_set(complement, 0, 3)
-        bad |= _lanes_with_sparse_set(planes, spec.k, spec.j)
+        checks = [(complement, 0, 3), (planes, spec.k, spec.j)]
         if spec.i is not None:
-            bad |= _lanes_with_sparse_set(complement, spec.k, spec.i)
-        lanes = np.unpackbits(bad.view(np.uint8), count=len(chunk), bitorder="little")
+            checks.append((complement, spec.k, spec.i))
+        bad = np.zeros(planes.shape[2], dtype=planes.dtype)
+        for edges, k, size in checks:
+            for _, levels in _subset_counts(edges, k, size):
+                bad |= np.bitwise_or.reduce(~np.bitwise_or.reduce(levels[-1], axis=0), axis=0)
+        lanes = np.unpackbits(bad.view(np.uint8), count=span.stop - span.start, bitorder="little")
         if lanes.any():
             return span.start + int(lanes.argmax())
     return None
@@ -253,53 +263,38 @@ def _sparse_sets(rows: np.ndarray, k: int, size: int) -> tuple[np.ndarray, np.nd
     already k): flat arrays of owners (row indices), sets and saturated
     masks, sorted by owner.
 
-    The sets are grown one vertex at a time, each by the vertices above its
-    highest member that leave enough vertices above them to reach ``size``
-    members.  T + v is k-sparse exactly when T is, v has at most k
-    neighbours in T and none of them is saturated, so only k-sparse sets are
-    ever extended.  Each set carries its members' degrees inside it as bit
-    planes (plane b holds bit b of every member's degree), so that adding v
-    is a binary increment of the members it sees and no (sets x n) count is
-    taken.
+    Read from ``_subset_counts`` over the ``_edge_planes`` of a chunk of
+    graphs at a time: T is k-sparse where ``levels[-1]`` is empty, and then
+    a member is saturated where it has more than k - 1 neighbours in T
+    (every member when k = 0, none when k >= size).
     """
-    m, n = rows.shape
-    flat = rows.ravel()
-    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    depth = k.bit_length()
-    starts = max(0, n - size + 1)
-    # One column per set: owner, highest member, members, saturated members, planes.
-    table = np.zeros((4 + depth, m * starts), dtype=np.uint32)
-    table[0] = np.repeat(np.arange(m), starts)
-    table[1] = np.tile(np.arange(starts), m)
-    table[2] = bits[table[1]]
-    if k == 0:
-        table[3] = table[2]
-    for members in range(1, size):
-        grown = [table[:, :0]]
-        # A set has at most n candidates; only those that pass are copied.
-        for span in _spans(table.shape[1], n):
-            top = table[1, span].astype(np.int64)
-            counts = n - size + members - top
-            source = np.repeat(np.arange(*span.indices(table.shape[1])), counts)
-            # A set's candidates are the vertices top + 1, top + 2, ... in turn.
-            vertex = np.arange(len(source)) - np.repeat(np.cumsum(counts) - counts - top - 1, counts)
-            row = flat[table[0, source] * n + vertex]
-            carry = row & table[2, source]
-            degree = np.bitwise_count(carry)
-            ok = ((row & table[3, source]) == 0) & (degree <= k)
-            new = table[:, source[ok]]
-            vertex, carry, degree = vertex[ok], carry[ok], degree[ok]
-            bit = bits[vertex]
-            new[1] = vertex
-            new[2] |= bit
-            new[3] = new[2]
-            for b in range(depth):
-                plane = new[4 + b]
-                carry, new[4 + b] = plane & carry, plane ^ carry | bit * (degree >> b & 1)
-                new[3] &= plane if k >> b & 1 else ~plane
-            grown.append(new)
-        table = np.concatenate(grown, axis=1)
-    return table[0], table[2], table[3]
+    n = rows.shape[1]
+    members = _subset_table(n, size)
+    found = [np.zeros((3, 0), dtype=np.uint32)]
+    for chunk in _spans(len(rows), n * n):
+        for span, levels in _subset_counts(_edge_planes(rows[chunk]), k, size):
+            sparse = ~np.bitwise_or.reduce(levels[-1], axis=0)
+            # Every set of the empty graphs past the last lane is sparse.
+            sparse[:, -1] &= np.uint64((1 << (chunk.stop - chunk.start - 1) % 64 + 1) - 1)
+            # Sparse sets are usually few, so only the words holding one are unpacked.
+            column, word = np.nonzero(sparse)
+            hit, lane = np.nonzero(np.unpackbits(sparse[column, word, None].view(np.uint8), axis=1,
+                                                 bitorder="little"))
+            column, word = column[hit], word[hit]
+            at = members[:, span][:, column]
+            sets = np.bitwise_or.reduce(np.uint32(1) << at, axis=0)
+            saturated = sets if k == 0 else np.zeros_like(sets)
+            if 0 < k < size:
+                bit = levels[k - 1][:, column, word] >> lane.astype(np.uint64) & 1
+                saturated = np.bitwise_or.reduce(bit.astype(np.uint32) << at, axis=0)
+            found.append(np.array([chunk.start + 64 * word + lane, sets, saturated], dtype=np.uint32))
+    # The table is a task's largest array: free the pieces, and sort it a row at a time.
+    table = np.concatenate(found, axis=1)
+    found.clear()
+    order = np.argsort(table[0], kind="stable")
+    for row in table:
+        row[:] = row[order]
+    return tuple(table)
 
 
 def _completes(rows: np.ndarray, owner: np.ndarray, sets: np.ndarray, k: int,

@@ -27,7 +27,8 @@ VertexSet = int
 
 #: Upper bound on the elements of one numpy temporary in the batch paths: the
 #: (sets x n) counts and the (set, sparse set) pairs of a level-step task; in
-#: ``enumeration.first_nonmember``, the (graphs x n x n) adjacency matrices of a
+#: ``enumeration._subset_counts``, which finds the k-sparse sets of the task
+#: filter and the resume check, the (graphs x n x n) adjacency matrices of a
 #: chunk and the (levels x members x subsets x words) saturating counts and
 #: (members x subsets x words) edge gathers of its uint64 edge planes; and the
 #: (graphs x n x n) temporaries in which levels are decoded, labeled and

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +22,12 @@ from triramsey import (
     independent_set_masks,
     is_k_sparse_set,
 )
-from triramsey.enumeration import _extend_entries, reject_extension_slow, surviving_extension_sets
+from triramsey.enumeration import (
+    _extend_entries,
+    _sparse_sets,
+    reject_extension_slow,
+    surviving_extension_sets,
+)
 from triramsey.graphs import row_array
 
 from .conftest import random_triangle_free
@@ -102,3 +108,38 @@ def test_task_keys_match_reference(seed, monkeypatch):
             assert Counter(_extend_entries(spec, task)) == expected, (spec, count)
     # Some parent keeps sets under some spec, and some parent keeps none.
     assert 0 in sizes and max(sizes) > 0
+
+
+def reference_sparse_sets(graphs, k, size):
+    """Sorted (owner, set, saturated) triples: every ``size``-set of every
+    graph that ``is_k_sparse_set`` accepts, with the members whose degree
+    inside it is exactly k."""
+    triples = []
+    for owner, g in enumerate(graphs):
+        for members in combinations(range(g.order), size):
+            s = sum(1 << v for v in members)
+            if is_k_sparse_set(g, s, k):
+                saturated = sum(1 << v for v in members if (g.adj[v] & s).bit_count() == k)
+                triples.append((owner, s, saturated))
+    return sorted(triples)
+
+
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 129, 200])
+def test_sparse_sets_match_reference(batch, monkeypatch):
+    """The filter's table of k-sparse sets over batches that fill, cross and
+    span 64-lane words, for k 0-5 and every size up to n + 1 (so size > n
+    and k >= size both occur), owners in order; then again with chunks of
+    three graphs and a few subsets each."""
+    rng = random.Random(500 + batch)
+    n = rng.randint(3, 7)
+    graphs = [random_triangle_free(rng, n, tries=rng.randint(0, 3 * n * n)) for _ in range(batch)]
+    rows = row_array([g.adj for g in graphs], n)
+    cases = [(k, size, reference_sparse_sets(graphs, k, size))
+             for k in range(6) for size in range(1, n + 2)]
+    for bound in (None, 3 * n * n):
+        if bound is not None:
+            monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", bound)
+        for k, size, expected in cases:
+            owner, sets, saturated = _sparse_sets(rows, k, size)
+            assert list(owner) == sorted(owner), (k, size, bound)
+            assert sorted(zip(owner.tolist(), sets.tolist(), saturated.tolist())) == expected, (k, size, bound)
