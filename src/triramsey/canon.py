@@ -7,8 +7,9 @@ when they are isomorphic, and keys compare as plain byte strings, which gives
 the total order used for deduplication and stable file output.  The key is
 the whole class: ``decode_key`` rebuilds the canonically labeled
 representative from it, so no relabeled graph is ever carried beside a key;
-``decode_keys`` gives the rows of a chunk of keys, and a level's rows are
-decoded with it, once, by ``enumeration.LevelSet.from_keys``.
+``decode_keys`` gives the rows of a chunk of keys, ORing one table entry per
+key byte, and a level's rows are decoded with it, once, by
+``enumeration.LevelSet.from_keys``.
 
 The labeling is found by equitable partition refinement plus
 individualization.  Vertices with identical neighborhoods (false twins) are
@@ -25,12 +26,16 @@ graphs: it runs the root refinement for all of them in numpy, encodes the
 single leaf of every graph whose root cells are its twin classes, and
 searches the rest from the root cells it already has, breadth first, every
 open search node of every graph refined in the same numpy rounds as the
-roots (``_refine_cells``).  ``canonical_form`` labels a batch of one.
+roots (``_refine_cells``).  ``canonical_form`` labels a batch of one.  The
+per-vertex temporaries (cells, first twins, twin counts, ranks) are uint8,
+as every such value is at most n <= MAX_N, so that a call of a labeling batch
+(``graphs._label_spans``) holds little more than one batch did in int64.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,8 +43,8 @@ from .errors import DecodeError
 from .graphs import (
     MAX_N,
     Graph,
+    _label_spans,
     _spans,
-    matrix_rows,
     row_array,
     upper_pairs,
 )
@@ -53,9 +58,12 @@ def _encode_rows(rows: np.ndarray, orders: np.ndarray) -> list[CanonKey]:
     ``orders[g, a]`` becomes vertex a of ``rows[g]``."""
     m, n = rows.shape
     first, second = np.triu_indices(n, 1)  # the pairs a < b, by a and then by b
-    # Pair (a, b) is an edge when row orders[g, a] holds orders[g, b].
-    bits = np.take_along_axis(rows, orders[:, first], axis=1) >> orders[:, second].astype(rows.dtype) & 1
-    body = np.packbits(bits.astype(bool), axis=1)
+    # Pair (a, b) is an edge when row orders[g, a] holds orders[g, b]: one
+    # (graphs x pairs) array, shifted and masked in place.
+    bits = np.take_along_axis(rows, orders, axis=1)[:, first]
+    bits >>= orders.astype(np.uint8)[:, second]
+    bits &= 1
+    body = np.packbits(bits, axis=1)
     blob = np.hstack([np.full((m, 1), n, dtype=np.uint8), body]).tobytes()
     width = 1 + body.shape[1]
     return [blob[at:at + width] for at in range(0, len(blob), width)]
@@ -71,60 +79,63 @@ def canonical_forms(rows: np.ndarray) -> list[CanonKey]:
 
     The root refinement runs for all graphs at once (``_root_cells``).  A
     graph whose root cells are its twin classes has a single leaf, so its
-    key is that leaf's, encoded for all such graphs at once; every other
-    graph is searched from its root cells, all of them together
-    (``_smallest_leaves``).
+    key is that leaf's (``_leaf_keys``); every other graph is searched from
+    its root cells, all of them together (``_smallest_leaves``).
     """
-    cells, leaf = _root_cells(rows)
+    cells, first, leaf = _root_cells(rows)
     keys: list[CanonKey] = [b""] * len(rows)
     single = np.flatnonzero(leaf)
-    for g, key in zip(single.tolist(), _encode_rows(rows[single], _leaf_orders(cells[single]))):
+    for g, key in zip(single.tolist(), _leaf_keys(rows[single], cells[single])):
         keys[g] = key
     searched = np.flatnonzero(~leaf)
-    for g, key in zip(searched.tolist(), _smallest_leaves(rows[searched], cells[searched])):
+    for g, key in zip(searched.tolist(),
+                      _smallest_leaves(rows[searched], cells[searched], first[searched])):
         keys[g] = key
     return keys
 
 
-def _leaf_orders(cells: np.ndarray) -> np.ndarray:
-    """The vertex order of each leaf: cell by cell, each twin class in
-    ascending vertex order."""
-    return np.argsort(cells, axis=1, kind="stable")
+def _leaf_keys(rows: np.ndarray, cells: np.ndarray) -> list[CanonKey]:
+    """The key of each leaf: ``rows[x]`` relabeled cell by cell of
+    ``cells[x]``, each twin class in ascending vertex order.  Leaves are
+    encoded one batch (``_spans``) at a time, which keeps the gathers of
+    ``_encode_rows`` as small inside a wide labeling batch as in one batch."""
+    keys: list[CanonKey] = []
+    for at in _spans(len(rows), rows.shape[1] ** 2):
+        keys += _encode_rows(rows[at], np.argsort(cells[at], axis=1, kind="stable"))
+    return keys
 
 
-def _smallest_leaves(rows: np.ndarray, cells: np.ndarray) -> list[CanonKey]:
+def _smallest_leaves(rows: np.ndarray, cells: np.ndarray, first: np.ndarray) -> list[CanonKey]:
     """The smallest leaf key of every graph of a (graphs x n) uint32 row
     array, searched from its equitable cells (each vertex's cell, numbered in
-    partition order, as ``_root_cells`` gives them).
+    partition order, as ``_root_cells`` gives them, with each vertex's first
+    twin).
 
     The search tree is walked breadth first, one level of every graph's
     tree at a time: the frontier holds every open node of every graph.  A
     round individualizes each node (``_individualize``), refines all the
-    children together (``_refine_cells``), a chunk of nodes at a
-    time, and encodes every child whose cells are its twin classes, a leaf,
-    keeping each graph's smallest key; the other children are the next
-    frontier.  The smallest key over all leaves does not depend on the
-    order in which they are visited.
+    children together (``_refine_cells``), a labeling batch of nodes
+    (``_label_spans``) at a time, and encodes every child whose cells are
+    its twin classes, a leaf, keeping each graph's smallest key; the other
+    children are the next frontier.  The smallest key over all leaves does
+    not depend on the order in which they are visited.
     """
     m, n = rows.shape
     if not m:
         return []
-    first = (rows[:, :, None] == rows[:, None, :]).argmax(axis=2)  # each vertex's class
-    classes = (first == np.arange(n)).sum(axis=1)
+    classes = (first == np.arange(n)).view(np.uint8).sum(axis=1, dtype=np.uint8)
     best: list[CanonKey | None] = [None] * m
     graph, count = np.arange(m), cells.max(axis=1) + 1
     while graph.size:
         parent, cells = _individualize(cells, first[graph])
         graph, count = graph[parent], count[parent] + 1
-        for at in _spans(graph.size, n * n):
+        for at in _label_spans(graph.size, n):
             _refine_cells(rows[graph[at]], cells[at], count[at], classes[graph[at]])
         leaf = count == classes[graph]
-        found, orders = graph[leaf], _leaf_orders(cells[leaf])
-        for at in _spans(found.size, n * n):
-            keys = _encode_rows(rows[found[at]], orders[at])
-            for g, key in zip(found[at].tolist(), keys):
-                if best[g] is None or key < best[g]:
-                    best[g] = key
+        found = graph[leaf]
+        for g, key in zip(found.tolist(), _leaf_keys(rows[found], cells[leaf])):
+            if best[g] is None or key < best[g]:
+                best[g] = key
         graph, cells, count = graph[~leaf], cells[~leaf], count[~leaf]
     return best
 
@@ -150,31 +161,34 @@ def _individualize(cells: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np
     return parent, children
 
 
-def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The root refinement for every graph of a (graphs x n) uint32 row
-    array, in vertex space: each vertex's cell index (graphs x n, cells
-    numbered in partition order), and whether the cells are exactly the twin
-    classes.
+    array, in vertex space: each vertex's cell index (graphs x n uint8,
+    cells numbered in partition order), each vertex's first twin (graphs x n
+    uint8), and whether the cells are exactly the twin classes.
 
     The root partition is the twin quotient's class-size partition, refined
     by ``_refine_cells``.
     """
     m, n = rows.shape
     if not n:
-        return np.zeros((m, 0), dtype=np.int64), np.ones(m, dtype=bool)
+        empty = np.zeros((m, 0), dtype=np.uint8)
+        return empty, empty, np.ones(m, dtype=bool)
     twins = rows[:, :, None] == rows[:, None, :]
+    first, sizes = twins.argmax(axis=2).astype(np.uint8), twins.view(np.uint8).sum(axis=2, dtype=np.uint8)
+    del twins  # the call's largest array: not held through the refinement
     # A vertex opens its class when its first twin is itself.
-    classes = (twins.argmax(axis=2) == np.arange(n)).sum(axis=1)
-    cells, count = _refine_cells(rows, *_rank([twins.sum(axis=2)]), classes)
-    return cells, count == classes
+    classes = (first == np.arange(n)).view(np.uint8).sum(axis=1, dtype=np.uint8)
+    cells, count = _refine_cells(rows, *_rank([sizes]), classes)
+    return cells, first, count == classes
 
 
 def _refine_cells(rows: np.ndarray, cells: np.ndarray, count: np.ndarray,
                   classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Refine, in place, the cells of every graph of a (graphs x n) uint32
-    row array (each vertex's cell, numbered in partition order; every cell a
-    union of twin classes of one size), ``count`` cells out of ``classes``
-    twin classes, and return the cells and their count.
+    """Refine, in place, the uint8 cells of every graph of a (graphs x n)
+    uint32 row array (each vertex's cell, numbered in partition order; every
+    cell a union of twin classes of one size), ``count`` cells out of
+    ``classes`` twin classes, and return the cells and their count.
 
     The refinement is the twin quotient's, round by round, each round
     splitting every cell by its members' counts into every cell.  Twins
@@ -185,17 +199,10 @@ def _refine_cells(rows: np.ndarray, cells: np.ndarray, count: np.ndarray,
     rank of (cell, counts into every cell), until a graph's round splits
     nothing or its cells are its classes.
     """
-    n = rows.shape[1]
-    width = n.bit_length()  # bits per packed field: cells and counts are below n
-    bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    width = rows.shape[1].bit_length()  # bits per packed field: cells and counts are below n
     active = np.flatnonzero(count < classes)
     while active.size:
-        part, sub = cells[active], rows[active]
-        # Each cell's vertex mask: the sum of its members' bits.
-        masks = np.zeros((len(active), count[active].max()), dtype=np.uint32)
-        np.add.at(masks, (np.arange(len(active))[:, None], part), bits)
-        counts = [np.bitwise_count(sub & mask[:, None]) for mask in masks.T]
-        refined, split = _rank(_pack([part] + counts, width))
+        refined, split = _rank(_pack(_fields(rows[active], cells[active], count[active].max()), width))
         grew = split > count[active]
         cells[active] = refined
         count[active] = split
@@ -203,32 +210,55 @@ def _refine_cells(rows: np.ndarray, cells: np.ndarray, count: np.ndarray,
     return cells, count
 
 
-def _pack(fields: list[np.ndarray], width: int) -> list[np.ndarray]:
-    """Per vertex, the (graphs x n) ``fields`` packed ``width`` bits each into
-    uint64 words, most significant first, so that the words compare as the
-    field tuples do."""
+def _fields(rows: np.ndarray, cells: np.ndarray, count: int) -> Iterator[np.ndarray]:
+    """The fields a refinement round ranks, for every graph of a (graphs x n)
+    uint32 row array and its uint8 cells (``count`` of them at most): the
+    cells, then each vertex's count of neighbours in each cell (uint8, one
+    (graphs x n) array per cell).  A generator, so that its cell masks are
+    freed once the fields are packed."""
+    bits = np.uint32(1) << np.arange(rows.shape[1], dtype=np.uint32)
+    # Each cell's vertex mask: the sum of its members' bits.
+    masks = np.zeros((len(rows), count), dtype=np.uint32)
+    np.add.at(masks, (np.arange(len(rows))[:, None], cells), bits)
+    yield cells
+    for mask in masks.T:
+        yield np.bitwise_count(rows & mask[:, None])
+
+
+def _pack(fields: Iterable[np.ndarray], width: int) -> list[np.ndarray]:
+    """Per vertex, the (graphs x n) uint8 ``fields`` packed ``width`` bits
+    each into uint64 words, most significant first, so that the words compare
+    as the field tuples do.  Fields are taken one at a time, so a generator
+    of them is never held whole."""
     per = 64 // width
-    words = []
-    for lo in range(0, len(fields), per):
-        word = np.zeros(fields[0].shape, dtype=np.uint64)
-        for at, field in enumerate(fields[lo:lo + per]):
-            word |= field.astype(np.uint64) << np.uint64(width * (per - 1 - at))
-        words.append(word)
+    words: list[np.ndarray] = []
+    for at, field in enumerate(fields):
+        if at % per == 0:
+            words.append(np.zeros(field.shape, dtype=np.uint64))
+        words[-1] <<= np.uint64(width)
+        words[-1] |= field
     return words
 
 
 def _rank(words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Per graph (row), each vertex's rank among the graph's distinct keys,
-    keys compared word by word, and the number of distinct keys."""
+    keys compared word by word, and the number of distinct keys (uint8: both
+    are at most n <= MAX_N)."""
     order = np.lexsort(words[::-1], axis=1)
-    graph = np.arange(len(order))[:, None]
+    n = order.shape[1]
+    # A vertex opens a key when it differs from the one before it in the
+    # keys' order: each word is gathered into that order a batch of graphs at
+    # a time and compared flat, so no operand is copied, and the compare
+    # across two graphs is undone after.
     new = np.zeros(order.shape, dtype=bool)
-    for word in words:
-        ranked = word[graph, order]
-        new[:, 1:] |= ranked[:, 1:] != ranked[:, :-1]
-    ranks = np.cumsum(new, axis=1)
+    for at in _spans(len(order), n * n):
+        for word in words:
+            ranked = np.take_along_axis(word[at], order[at], axis=1).ravel()
+            new[at].ravel()[1:] |= ranked[1:] != ranked[:-1]
+    new[:, 0] = False
+    ranks = np.cumsum(new.view(np.uint8), axis=1, dtype=np.uint8)
     out = np.empty_like(ranks)
-    out[graph, order] = ranks
+    out[np.arange(len(order))[:, None], order] = ranks
     return out, ranks[:, -1] + 1
 
 
@@ -259,9 +289,31 @@ def decode_key(key: CanonKey) -> Graph:
     return Graph(n, tuple(decode_keys([key])[0].tolist()))
 
 
+@lru_cache(maxsize=1)
+def _decode_table(n: int) -> np.ndarray:
+    """The (key bytes x 256 x n) uint32 table of order n: entry [b, v] is the
+    rows whose bits key byte 1 + b set when it holds v (read-only, shared).
+    A run decodes one order at a time and the table takes about 64 n**3
+    bytes (78 KB at order 11, 2 MB at 32), so only the last order's is kept."""
+    first, second = np.nonzero(upper_pairs(n))  # pair p of the key body, MSB first
+    pair = np.arange(len(first))
+    # Pair p = (a, b) sets bit b of row a and bit a of row b; byte c holds pairs 8 c to 8 c + 7.
+    bits = np.zeros((-(-len(pair) // 8) * 8, n), dtype=np.uint32)
+    bits[pair, first] = np.uint32(1) << second.astype(np.uint32)
+    bits[pair, second] = np.uint32(1) << first.astype(np.uint32)
+    bits = bits.reshape(len(bits) // 8, 8, n)
+    # Each pass appends the next bit of the byte value to the table's index.
+    table = np.zeros((len(bits), 1, n), dtype=np.uint32)
+    for at in range(8):
+        table = np.stack([table, table | bits[:, at, None]], axis=2).reshape(len(bits), 2 << at, n)
+    table.flags.writeable = False
+    return table
+
+
 def decode_keys(keys: Sequence[CanonKey]) -> np.ndarray:
     """The (keys x n) uint32 rows of the graphs ``decode_key`` rebuilds from
-    keys of one order n ((0 x 0) for no keys).
+    keys of one order n ((0 x 0) for no keys): the OR over the key's body
+    bytes of their ``_decode_table`` entries.
 
     The keys are not validated: they must come from ``canonical_forms`` (or
     have passed ``decode_key``).
@@ -270,7 +322,8 @@ def decode_keys(keys: Sequence[CanonKey]) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.uint32)
     n = keys[0][0]
     data = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
-    matrices = np.zeros((len(keys), n, n), dtype=bool)
-    matrices[:, upper_pairs(n)] = np.unpackbits(data[:, 1:], axis=1, count=n * (n - 1) // 2)
-    matrices |= matrices.transpose(0, 2, 1)
-    return matrix_rows(matrices)
+    table = _decode_table(n)
+    rows = np.zeros((len(keys), n), dtype=np.uint32)
+    for at, entries in enumerate(table):
+        rows |= entries[data[:, 1 + at]]
+    return rows

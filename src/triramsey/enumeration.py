@@ -15,12 +15,15 @@ twin-prefix form is an automorphism of P, so it keeps every vertex's pair.
 A level is its sorted keys plus the (members x n) rows of the canonically
 labeled members, so levels are byte-stable regardless of worker count or
 merge order: a child travels as its key alone, and ``LevelSet.from_keys``
-decodes each class once from it.  A step cuts the rows into runs of
-consecutive parents, one task each: the fewest runs of at most as many
-parents as one batch holds graphs of their order, of near-equal lengths
-(``_spans(parents, n * n)``), so at most 2**16 // n**2 parents at the
-default ``graphs._BROADCAST_ELEMENTS`` (1,024 at order 8, 541 at order 11,
-291 at order 15).
+decodes each class once from it, a labeling batch of keys at a time.  A
+step cuts the rows into runs of consecutive parents, one task each: the
+fewest runs of at most as many parents as one batch holds graphs of their
+order, of near-equal lengths (``_spans(parents, n * n)``), so at most
+2**16 // n**2 parents at the default ``graphs._BROADCAST_ELEMENTS`` (1,024
+at order 8, 541 at order 11, 291 at order 15).  A labeling batch is wider:
+``graphs._LABEL_BATCHES`` (four) batches of graphs of its order
+(``graphs._label_spans``), in which children, keys and read-back members
+are labeled and decoded.
 
 A task is one array pipeline over the (parents x n) row array of its run
 (``_attachment_sets``): the independent sets of every parent, built by
@@ -30,12 +33,13 @@ the parent it belongs to.  The filter lists each parent's k-sparse
 (j-1)-sets with their members whose internal degree is already k, and
 joins every attachment set with its own parent's sets only.  The
 children's rows are then built from the parents' rows and labeled with
-``canonical_forms`` a chunk at a time, so one numpy batch spans many
-parents.  Masks cover the parent's vertices only (< 2**MAX_N), so int64
+``canonical_forms`` a labeling batch at a time, so one numpy batch spans
+many parents.  Masks cover the parent's vertices only (< 2**MAX_N), so int64
 arithmetic never overflows.  The (sets x n) counts of rule (a), the subset
-counts, the (set, sparse set) pairs of the filter and the labeling batches
-are chunked to stay within ``graphs._BROADCAST_ELEMENTS`` elements.  The
-flat arrays of independent sets and the ``_sparse_sets`` tables are not:
+counts and the (set, sparse set) pairs of the filter are chunked to stay
+within ``graphs._BROADCAST_ELEMENTS`` elements; a labeling batch holds
+``graphs._LABEL_BATCHES`` times as many graphs, in narrower temporaries.
+The flat arrays of independent sets and the ``_sparse_sets`` tables are not:
 they hold every set of every parent of the task, so they grow with its
 parents (the tracemalloc peak of one task of order-15 R_4(9,11) parents is
 2.1 MB at 32 parents and 11 MB at 512).
@@ -69,6 +73,7 @@ from .errors import ConstructionError
 from .graphs import (
     Graph,
     VertexSet,
+    _label_spans,
     _spans,
     add_vertex,
     adjacency_matrices,
@@ -119,10 +124,11 @@ class LevelSet:
 
     @classmethod
     def from_keys(cls, order: int, keys: Sequence[CanonKey]) -> LevelSet:
-        """The level of sorted canonical keys of one order, decoded a chunk at a time."""
+        """The level of sorted canonical keys of one order, decoded a labeling
+        batch (``_label_spans``) at a time."""
         level = cls(order)
         level.keys, level.rows = tuple(keys), np.empty((len(keys), order), dtype=np.uint32)
-        for span in _spans(len(keys), order * order):
+        for span in _label_spans(len(keys), order):
             level.rows[span] = decode_keys(level.keys[span])
         level.rows.flags.writeable = False
         return level
@@ -462,11 +468,11 @@ def _extend_entries(spec: ProblemSpec, rows: np.ndarray) -> list[CanonKey]:
     """Worker task: the canonical keys of the surviving children of the
     parents of a (parents x n) uint32 row array.  The attachment sets of
     every parent come from one ``_attachment_sets`` pass, and the children
-    are built and labeled a chunk of graphs at a time whichever parents they
-    come from."""
+    are built and labeled a labeling batch (``_label_spans``) at a time
+    whichever parents they come from."""
     owner, sets = _attachment_sets(rows, spec)
     keys: list[CanonKey] = []
-    for span in _spans(len(sets), (rows.shape[1] + 1) ** 2):
+    for span in _label_spans(len(sets), rows.shape[1] + 1):
         keys += canonical_forms(_child_rows(rows, owner[span], sets[span]))
     return keys
 

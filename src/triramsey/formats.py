@@ -14,7 +14,8 @@ Both codecs have one implementation each, a numpy kernel over a (graphs x n)
 array of adjacency rows; ``graph6_encode`` and ``graph6_decode`` validate one
 graph or line and call it on a batch of one.  ``write_level`` encodes a
 level's rows a chunk at a time; ``read_level`` decodes and labels the body a
-chunk at a time and leaves the level's rows to ``LevelSet.from_keys``.
+labeling batch (``graphs._label_spans``) at a time and leaves the level's
+rows to ``LevelSet.from_keys``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import CapacityError, DecodeError, IntegrityError, SpecConflictErro
 from .graphs import (
     MAX_N,
     Graph,
+    _label_spans,
     _spans,
     adjacency_matrices,
     matrix_rows,
@@ -160,9 +162,9 @@ def _parse_header_int(lines: list[str], index: int, name: str) -> int:
 def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     """Read and validate a level file; members are re-canonicalized.
 
-    The body is decoded and labeled chunk by chunk (``_body_rows``,
-    ``canonical_forms``), and the level's rows are decoded from its sorted
-    keys (``LevelSet.from_keys``).
+    The body is decoded and labeled a labeling batch (``_label_spans``) at
+    a time (``_body_rows``, ``canonical_forms``), and the level's rows are
+    decoded from its sorted keys (``LevelSet.from_keys``).
     """
     data = Path(source).read_bytes()
     try:
@@ -202,7 +204,7 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
 
     spec = ProblemSpec(k=k, j=j, i=i)
     keys = []
-    for span in _spans(count, order * order):
+    for span in _label_spans(count, order):
         keys += canonical_forms(_body_rows(body[span], order))
     keys.sort()
     for key, next_key in zip(keys, keys[1:]):

@@ -30,13 +30,24 @@ VertexSet = int
 #: ``enumeration._subset_counts``, which finds the k-sparse sets of the task
 #: filter and the resume check, the (graphs x n x n) adjacency matrices of a
 #: chunk and the (levels x members x subsets x words) saturating counts and
-#: (members x subsets x words) edge gathers of its uint64 edge planes; and the
-#: (graphs x n x n) temporaries in which levels are decoded, labeled and
-#: encoded and in which ``canon.canonical_forms`` refines its search nodes.
-#: ``_spans`` chunks the set, pair, graph, node and subset axes to respect it.
-#: ``enumeration.level_step`` cuts a level of order n into tasks of at most
-#: ``_BROADCAST_ELEMENTS // n**2`` parents, one batch of graphs of that order.
+#: (members x subsets x words) edge gathers of its uint64 edge planes; the
+#: graph6 encode of a level file; and the (graphs x n(n-1)/2) gathers in
+#: which ``canon`` encodes leaves and the (graphs x n) gathers in which it
+#: ranks.  ``_spans`` chunks the set, pair, graph and subset axes to respect
+#: it.  One batch of graphs of order n is ``_BROADCAST_ELEMENTS // n**2`` of
+#: them: ``enumeration.level_step`` cuts a level into tasks of at most one
+#: batch of parents.
 _BROADCAST_ELEMENTS = 1 << 16
+
+#: Graphs are decoded and labeled ``_LABEL_BATCHES`` batches at a time
+#: (``_label_spans``; 2,166 graphs at order 11): ``canon.canonical_forms``
+#: runs some fifty numpy calls per refinement round whatever its width, so
+#: at one batch a call most of its time was dispatch.  Its per-vertex
+#: temporaries are one byte (cells, ranks, twin counts; the (graphs x n x n)
+#: twin matrices are bool) and it encodes leaves one batch at a time, so a
+#: call of four batches peaks little above one batch of 64-bit temporaries
+#: (0.71 against 0.62 MB at order 11; 2.35 MB when only widened).
+_LABEL_BATCHES = 4
 
 
 def vertex_set(vertices: Iterable[int]) -> VertexSet:
@@ -128,13 +139,19 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(order, tuple(rows))
 
 
-def _spans(count: int, width: int) -> Iterator[slice]:
+def _spans(count: int, width: int, batches: int = 1) -> Iterator[slice]:
     """Consecutive slices of range(count), as few as hold at most as many
-    items of ``width`` elements as ``_BROADCAST_ELEMENTS`` does (at least
-    one), and of lengths that differ by at most one, so that no slice is a
-    short remainder."""
-    pieces = -(-count // max(1, _BROADCAST_ELEMENTS // max(1, width)))
+    items of ``width`` elements as ``batches`` times ``_BROADCAST_ELEMENTS``
+    does (at least one), and of lengths that differ by at most one, so that
+    no slice is a short remainder."""
+    pieces = -(-count // max(1, batches * _BROADCAST_ELEMENTS // max(1, width)))
     return (slice(x * count // pieces, (x + 1) * count // pieces) for x in range(pieces))
+
+
+def _label_spans(count: int, n: int) -> Iterator[slice]:
+    """The ``_spans`` of ``count`` graphs of order n in which they are decoded
+    and labeled: ``_LABEL_BATCHES`` batches of graphs each."""
+    return _spans(count, n * n, _LABEL_BATCHES)
 
 
 def row_array(adjacency: Sequence[tuple[int, ...]], n: int) -> np.ndarray:

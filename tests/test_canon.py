@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -30,6 +31,7 @@ from triramsey import (
     permute,
     validate_graph,
 )
+from triramsey import canon
 from triramsey.canon import (
     _encode_rows,
     _individualize,
@@ -38,7 +40,7 @@ from triramsey.canon import (
     canonical_forms,
     decode_keys,
 )
-from triramsey.graphs import _spans
+from triramsey.graphs import _LABEL_BATCHES, _spans
 from triramsey.oracle import brute_isomorphic, count_graph_classes
 
 from .conftest import petersen, random_graph, random_permutation, random_triangle_free
@@ -321,8 +323,9 @@ def random_ordered_partition(rng: random.Random, n: int) -> list[list[int]]:
 
 
 def vertex_cells(partition: list[list[int]], n: int) -> np.ndarray:
-    """Each vertex's cell index in an ordered partition of range(n)."""
-    cells = np.zeros(n, dtype=np.int64)
+    """Each vertex's cell index in an ordered partition of range(n), as
+    ``canon`` holds cells (uint8)."""
+    cells = np.zeros(n, dtype=np.uint8)
     for c, cell in enumerate(partition):
         cells[cell] = c
     return cells
@@ -426,7 +429,7 @@ def quotient_root(g: Graph) -> tuple[list[list[int]], bool]:
 
 
 def batch_root(cells: np.ndarray) -> list[list[int]]:
-    return [np.flatnonzero(cells == c).tolist() for c in range(cells.max(initial=-1) + 1)]
+    return [np.flatnonzero(cells == c).tolist() for c in range(cells.size and int(cells.max()) + 1)]
 
 
 def relabeled(rng: random.Random, graphs: list[Graph]) -> list[Graph]:
@@ -464,11 +467,12 @@ def by_order(graphs: list[Graph]) -> dict[int, list[Graph]]:
 
 def test_root_cells_match_round_based_reference():
     # All graphs of one order go through one batch, so every round runs with
-    # some graphs already stable.
+    # some graphs already stable.  Each vertex's first twin comes with them.
     for n, graphs in by_order(batch_corpus()).items():
-        cells, leaf = _root_cells(row_array(graphs, n))
-        for g, vertex_cells, single in zip(graphs, cells, leaf):
+        cells, first, leaf = _root_cells(row_array(graphs, n))
+        for g, vertex_cells, twin, single in zip(graphs, cells, first, leaf):
             assert (batch_root(vertex_cells), bool(single)) == quotient_root(g), g
+            assert twin.tolist() == [g.adj.index(row) for row in g.adj], g
 
 
 def test_encode_rows_matches_encode():
@@ -497,12 +501,68 @@ def test_canonical_forms_match_canonical_form(name, graphs):
                 == [alone[at] for at in shuffle]), n
 
 
+def random_labeling_batch(n: int, count: int) -> np.ndarray:
+    """Seeded random triangle-free graphs of order n, sparse enough that
+    about a fifth of them need a search."""
+    rng = random.Random(40 + n)
+    return row_array([random_triangle_free(rng, n, tries=rng.randint(n, 3 * n))
+                      for _ in range(count)], n)
+
+
+def test_wide_labeling_batches_keep_keys(monkeypatch):
+    # 2,500 order-11 graphs in one call, 514 of them searched: the search's
+    # frontier (1,051 nodes in its first round) is refined a labeling batch
+    # of nodes at a time, four batches of order 11 (2,166 nodes), or, with
+    # the rule at one batch, at most 541; the keys must not notice.
+    rows = random_labeling_batch(11, 2500)
+    assert (~_root_cells(rows)[2]).sum() > 300
+    searched = []
+    refine = canon._refine_cells
+
+    def counting(nodes, *args):
+        if nodes is not rows:  # the root refinement takes the whole call's rows
+            searched.append(len(nodes))
+        return refine(nodes, *args)
+
+    monkeypatch.setattr(canon, "_refine_cells", counting)
+    wide = canonical_forms(rows)
+    wide_chunks, searched[:] = searched[:], []
+    monkeypatch.setattr("triramsey.graphs._LABEL_BATCHES", 1)
+    assert canonical_forms(rows) == wide
+    assert max(searched) <= (1 << 16) // 11 ** 2 < max(wide_chunks)
+    assert wide == [canonical_form(Graph(11, tuple(row))) for row in rows.tolist()]
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_labeling_batch_peak(n):
+    # One labeling batch, four batches of order n (2,166 graphs at order 11,
+    # 1,551 at 13), holds little more than one batch of 64-bit temporaries
+    # did: 0.71 and 0.60 MB against 0.62 and 0.54 MB; widening alone took
+    # 2.35 and 2.12 MB.
+    rows = random_labeling_batch(n, _LABEL_BATCHES * (1 << 16) // n ** 2)
+    canonical_forms(rows)  # fills the caches of the first call
+    tracemalloc.start()
+    try:
+        canonical_forms(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800_000, peak
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_decode_keys_match_decode_key(seed):
     rng = random.Random(30 + seed)
     assert decode_keys([]).shape == (0, 0)
     for n in range(MAX_N + 1):
-        graphs = [random_graph(rng, n, rng.choice([0.1, 0.5, 0.9])) for _ in range(rng.randint(0, 5))]
+        # Orders 0 and 1 have no key body byte, 2 one partial byte, 31 and
+        # 32 the most bytes; each always gets random graphs and its complete
+        # graph, which sets every table bit.
+        edge = n in (0, 1, 2, MAX_N - 1, MAX_N)
+        graphs = [random_graph(rng, n, rng.choice([0.1, 0.5, 0.9]))
+                  for _ in range(rng.randint(2 if edge else 0, 5))]
+        if edge:
+            graphs.append(build_graph(n, itertools.combinations(range(n), 2)))
         if n == MAX_N:
             graphs.append(build_graph(n, [(0, n - 1), (n - 2, n - 1)]))  # bit 31 set in rows 0 and 30
         keys = [_encode(n, g.adj, list(range(n))) for g in graphs]

@@ -30,9 +30,10 @@ from triramsey import (
     validate_graph,
     verify_membership,
 )
-from triramsey import enumeration
+from triramsey import enumeration, formats
 from triramsey.enumeration import reject_extension_slow
-from triramsey.graphs import _spans, row_array
+from triramsey.formats import read_level, write_level
+from triramsey.graphs import _label_spans, _spans, row_array
 from triramsey.oracle import (
     brute_has_k_dense_set,
     brute_has_k_sparse_set,
@@ -189,12 +190,14 @@ def test_worker_counts_agree():
 @pytest.mark.parametrize("bound", [1, 300, 700])
 def test_level_step_decodes_in_chunks(monkeypatch, bound):
     # The final decode of the 30 order-8 classes takes 1, 4 or 10 keys a
-    # chunk; each class is still the graph decode_key rebuilds.
+    # chunk (a labeling batch of one batch); each class is still the graph
+    # decode_key rebuilds.
     spec = ProblemSpec(k=1, j=5)
     whole = level_at(spec, 8)
     monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", bound)
+    monkeypatch.setattr("triramsey.graphs._LABEL_BATCHES", 1)
     chunked = level_at(spec, 8)
-    assert chunked == whole and next(_spans(len(chunked), 8 * 8)).stop < len(chunked)
+    assert chunked == whole and next(_label_spans(len(chunked), 8)).stop < len(chunked)
     assert all(g == decode_key(key) for key, g in chunked.members)
 
 
@@ -256,6 +259,54 @@ def test_level_step_tasks_are_batch_spans(monkeypatch, bound):
     assert len(cuts) == 1 and len(cuts[0]) == len(spans)
     assert all(np.shares_memory(task, level.rows) and np.array_equal(task, level.rows[span])
                for task, span in zip(cuts[0], spans))
+
+
+def test_graphs_are_labeled_and_decoded_in_label_spans(monkeypatch, tmp_path):
+    # Graphs are decoded and labeled in ``_label_spans``, four batches of
+    # their order at a time, while a task stays one batch of parents: the
+    # step from T_1(7)'s 1,511 order-9 parents is still two tasks of 755 and
+    # 756, each task's children go to ``canonical_forms`` in its label spans
+    # (more than one batch of 655 order-10 graphs per call), and so do the
+    # keys ``LevelSet.from_keys`` decodes and the members ``read_level``
+    # re-labels.
+    spec = ProblemSpec(k=1, j=7)
+    level = level_at(spec, 9)
+    labeled, decoded = [], []
+
+    def counting(calls, fn):
+        def counted(batch):
+            calls.append(len(batch))
+            return fn(batch)
+        return counted
+
+    monkeypatch.setattr("triramsey.enumeration.canonical_forms",
+                        counting(labeled, enumeration.canonical_forms))
+    monkeypatch.setattr("triramsey.formats.canonical_forms", counting(labeled, formats.canonical_forms))
+    monkeypatch.setattr("triramsey.enumeration.decode_keys",
+                        counting(decoded, enumeration.decode_keys))
+    tasks = []
+
+    def mapper(fn, cut):
+        for task in cut:
+            labeled.clear()
+            keys = fn(task)
+            tasks.append((len(task), list(labeled)))
+            yield keys
+
+    grown = level_step(level, spec, mapper=mapper)
+    assert [parents for parents, _ in tasks] == [span.stop - span.start
+                                                 for span in _spans(len(level), 9 * 9)] == [755, 756]
+    for _, calls in tasks:
+        assert calls == [span.stop - span.start for span in _label_spans(sum(calls), 10)]
+        assert max(calls) > (1 << 16) // 10 ** 2
+    assert decoded == [span.stop - span.start for span in _label_spans(len(grown), 10)]
+    assert len(decoded) > 1
+    target = tmp_path / "level-10.lvl"
+    write_level(grown, spec, target)
+    labeled.clear()
+    decoded.clear()
+    assert read_level(target)[0] == grown
+    assert labeled == decoded == [span.stop - span.start for span in _label_spans(len(grown), 10)]
 
 
 KILL_ONE_WORKER = textwrap.dedent("""
