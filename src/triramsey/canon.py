@@ -7,9 +7,9 @@ when they are isomorphic, and keys compare as plain byte strings, which gives
 the total order used for deduplication and stable file output.  The key is
 the whole class: ``decode_key`` rebuilds the canonically labeled
 representative from it, so no relabeled graph is ever carried beside a key;
-``decode_keys`` gives the rows of a chunk of keys, ORing one table entry per
-key byte, and a level's rows are decoded with it, once, by
-``enumeration.LevelSet.from_keys``.
+``decode_keys`` gives the rows of a chunk of keys, adding one
+``graphs.key_tables`` entry per key byte, and a level's rows are decoded
+with it, once, by ``enumeration.LevelSet.from_keys``.
 
 The labeling is found by equitable partition refinement plus
 individualization.  Vertices with identical neighborhoods (false twins) are
@@ -26,16 +26,17 @@ graphs: it runs the root refinement for all of them in numpy, encodes the
 single leaf of every graph whose root cells are its twin classes, and
 searches the rest from the root cells it already has, breadth first, every
 open search node of every graph refined in the same numpy rounds as the
-roots (``_refine_cells``).  ``canonical_form`` labels a batch of one.  The
-per-vertex temporaries (cells, first twins, twin counts, ranks) are uint8,
-as every such value is at most n <= MAX_N, so that a call of a labeling batch
-(``graphs._label_spans``) holds little more than one batch did in int64.
+roots (``_refine_cells``).  ``canonical_form`` labels a batch of one.  A
+round ranks each graph's vertices by one in-place sort of uint64 keys
+tagged with their vertex (``_rank``).  The per-vertex temporaries (cells,
+first twins, twin counts, ranks) are uint8, as every such value is at most
+n <= MAX_N, so that a call of a labeling batch (``graphs._label_spans``)
+holds little more than one batch did in int64.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +44,10 @@ from .errors import DecodeError
 from .graphs import (
     MAX_N,
     Graph,
+    _apply_tables,
     _label_spans,
     _spans,
+    key_tables,
     row_array,
     upper_pairs,
 )
@@ -57,7 +60,7 @@ def _encode_rows(rows: np.ndarray, orders: np.ndarray) -> list[CanonKey]:
     """The key of every graph of a (graphs x n) row array relabeled so that
     ``orders[g, a]`` becomes vertex a of ``rows[g]``."""
     m, n = rows.shape
-    first, second = np.triu_indices(n, 1)  # the pairs a < b, by a and then by b
+    first, second = upper_pairs(n)
     # Pair (a, b) is an edge when row orders[g, a] holds orders[g, b]: one
     # (graphs x pairs) array, shifted and masked in place.
     bits = np.take_along_axis(rows, orders, axis=1)[:, first]
@@ -112,31 +115,39 @@ def _smallest_leaves(rows: np.ndarray, cells: np.ndarray, first: np.ndarray) -> 
     twin).
 
     The search tree is walked breadth first, one level of every graph's
-    tree at a time: the frontier holds every open node of every graph.  A
-    round individualizes each node (``_individualize``), refines all the
-    children together (``_refine_cells``), a labeling batch of nodes
-    (``_label_spans``) at a time, and encodes every child whose cells are
-    its twin classes, a leaf, keeping each graph's smallest key; the other
-    children are the next frontier.  The smallest key over all leaves does
-    not depend on the order in which they are visited.
+    tree at a time: the frontier holds every open node of every graph, as
+    pieces of (graph, cells, cell count).  A round takes the frontier a
+    labeling batch of nodes (``_label_spans``) at a time: it individualizes
+    each node (``_individualize``), refines the children together
+    (``_refine_cells``), again a labeling batch at a time, and encodes every
+    child whose cells are its twin classes, a leaf, keeping each graph's
+    smallest key; the other children are a piece of the next frontier.  So
+    no temporary of a round grows with the frontier, which a graph with a
+    large automorphism group makes far wider than a batch.  The smallest key
+    over all leaves does not depend on the order in which they are
+    visited.
     """
     m, n = rows.shape
     if not m:
         return []
     classes = (first == np.arange(n)).view(np.uint8).sum(axis=1, dtype=np.uint8)
     best: list[CanonKey | None] = [None] * m
-    graph, count = np.arange(m), cells.max(axis=1) + 1
-    while graph.size:
-        parent, cells = _individualize(cells, first[graph])
-        graph, count = graph[parent], count[parent] + 1
-        for at in _label_spans(graph.size, n):
-            _refine_cells(rows[graph[at]], cells[at], count[at], classes[graph[at]])
-        leaf = count == classes[graph]
-        found = graph[leaf]
-        for g, key in zip(found.tolist(), _leaf_keys(rows[found], cells[leaf])):
-            if best[g] is None or key < best[g]:
-                best[g] = key
-        graph, cells, count = graph[~leaf], cells[~leaf], count[~leaf]
+    frontier = [(np.arange(m), cells, cells.max(axis=1) + 1)]
+    while frontier:
+        opened, frontier = frontier, []
+        for graph, cells, count in opened:
+            for span in _label_spans(graph.size, n):
+                parent, children = _individualize(cells[span], first[graph[span]])
+                child, below = graph[span][parent], count[span][parent] + 1
+                for at in _label_spans(child.size, n):
+                    _refine_cells(rows[child[at]], children[at], below[at], classes[child[at]])
+                leaf = below == classes[child]
+                found = child[leaf]
+                for g, key in zip(found.tolist(), _leaf_keys(rows[found], children[leaf])):
+                    if best[g] is None or key < best[g]:
+                        best[g] = key
+                if not leaf.all():
+                    frontier.append((child[~leaf], children[~leaf], below[~leaf]))
     return best
 
 
@@ -179,7 +190,7 @@ def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     del twins  # the call's largest array: not held through the refinement
     # A vertex opens its class when its first twin is itself.
     classes = (first == np.arange(n)).view(np.uint8).sum(axis=1, dtype=np.uint8)
-    cells, count = _refine_cells(rows, *_rank([sizes]), classes)
+    cells, count = _refine_cells(rows, *_rank(sizes.astype(np.uint64)), classes)
     return cells, first, count == classes
 
 
@@ -196,13 +207,12 @@ def _refine_cells(rows: np.ndarray, cells: np.ndarray, count: np.ndarray,
     same size; a vertex's count into a cell is that size times its class's
     count, which orders the members of a cell as the quotient's counts do.
     So the rounds run here on the vertices: each splits every cell by the
-    rank of (cell, counts into every cell), until a graph's round splits
-    nothing or its cells are its classes.
+    rank of (cell, counts into every cell) (``_round_ranks``), until a
+    graph's round splits nothing or its cells are its classes.
     """
-    width = rows.shape[1].bit_length()  # bits per packed field: cells and counts are below n
     active = np.flatnonzero(count < classes)
     while active.size:
-        refined, split = _rank(_pack(_fields(rows[active], cells[active], count[active].max()), width))
+        refined, split = _round_ranks(rows[active], cells[active], int(count[active].max()))
         grew = split > count[active]
         cells[active] = refined
         count[active] = split
@@ -210,56 +220,68 @@ def _refine_cells(rows: np.ndarray, cells: np.ndarray, count: np.ndarray,
     return cells, count
 
 
-def _fields(rows: np.ndarray, cells: np.ndarray, count: int) -> Iterator[np.ndarray]:
-    """The fields a refinement round ranks, for every graph of a (graphs x n)
-    uint32 row array and its uint8 cells (``count`` of them at most): the
-    cells, then each vertex's count of neighbours in each cell (uint8, one
-    (graphs x n) array per cell).  A generator, so that its cell masks are
-    freed once the fields are packed."""
-    bits = np.uint32(1) << np.arange(rows.shape[1], dtype=np.uint32)
-    # Each cell's vertex mask: the sum of its members' bits.
-    masks = np.zeros((len(rows), count), dtype=np.uint32)
-    np.add.at(masks, (np.arange(len(rows))[:, None], cells), bits)
-    yield cells
+#: ``_rank`` tags each key with its vertex in the low 5 bits (n <= MAX_N = 32).
+_KEY_BITS = 64 - 5
+
+
+def _round_ranks(rows: np.ndarray, cells: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """One refinement round of every graph of a (graphs x n) uint32 row
+    array and its uint8 cells (``count`` of them at most): each vertex's rank
+    by (cell, its count of neighbours in each cell), and the number of ranks.
+
+    Cells, counts and ranks are below n, so each takes ``n.bit_length()``
+    bits: the fields are shifted into one uint64 key per vertex, most
+    significant first, so that the keys compare as the field tuples do.  A
+    key that would pass the ``_rank`` limit is ranked first and its rank
+    carries on as the key's first field, which keeps the order (never below
+    order 15, where a round takes one sort).
+    """
+    m, n = rows.shape
+    width = n.bit_length()
+    # Each cell's vertex mask, one vertex at a time: a vertex is in one cell
+    # of its graph, so no mask is named twice in one OR.
+    masks = np.zeros(m * count, dtype=np.uint32)
+    base = np.arange(0, m * count, count)
+    for v in range(n):
+        masks[base + cells[:, v]] |= np.uint32(1 << v)
+    masks = masks.reshape(m, count)
+    key, used = cells.astype(np.uint64), width
     for mask in masks.T:
-        yield np.bitwise_count(rows & mask[:, None])
+        if used + width > _KEY_BITS:
+            key, used = _rank(key)[0].astype(np.uint64), width
+        key <<= np.uint64(width)
+        key |= np.bitwise_count(rows & mask[:, None])
+        used += width
+    return _rank(key)
 
 
-def _pack(fields: Iterable[np.ndarray], width: int) -> list[np.ndarray]:
-    """Per vertex, the (graphs x n) uint8 ``fields`` packed ``width`` bits
-    each into uint64 words, most significant first, so that the words compare
-    as the field tuples do.  Fields are taken one at a time, so a generator
-    of them is never held whole."""
-    per = 64 // width
-    words: list[np.ndarray] = []
-    for at, field in enumerate(fields):
-        if at % per == 0:
-            words.append(np.zeros(field.shape, dtype=np.uint64))
-        words[-1] <<= np.uint64(width)
-        words[-1] |= field
-    return words
+def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per graph (row) of a (graphs x n) uint64 array of keys below
+    2**_KEY_BITS, each vertex's rank among the graph's distinct keys, and
+    the number of distinct keys (uint8: both are at most n <= MAX_N).  The
+    keys are overwritten.
 
-
-def _rank(words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per graph (row), each vertex's rank among the graph's distinct keys,
-    keys compared word by word, and the number of distinct keys (uint8: both
-    are at most n <= MAX_N)."""
-    order = np.lexsort(words[::-1], axis=1)
-    n = order.shape[1]
-    # A vertex opens a key when it differs from the one before it in the
-    # keys' order: each word is gathered into that order a batch of graphs at
-    # a time and compared flat, so no operand is copied, and the compare
-    # across two graphs is undone after.
-    new = np.zeros(order.shape, dtype=bool)
-    for at in _spans(len(order), n * n):
-        for word in words:
-            ranked = np.take_along_axis(word[at], order[at], axis=1).ravel()
-            new[at].ravel()[1:] |= ranked[1:] != ranked[:-1]
-    new[:, 0] = False
-    ranks = np.cumsum(new.view(np.uint8), axis=1, dtype=np.uint8)
-    out = np.empty_like(ranks)
-    out[np.arange(len(order))[:, None], order] = ranks
-    return out, ranks[:, -1] + 1
+    Each key is tagged with its vertex in its low bits and every row sorted
+    in place, a batch of graphs at a time, so that one sort gives both the
+    keys' order and the vertex of each place in it.
+    """
+    m, n = keys.shape
+    keys <<= np.uint64(64 - _KEY_BITS)
+    keys |= np.arange(n, dtype=np.uint64)
+    ranks = np.empty((m, n), dtype=np.uint8)
+    split = np.empty(m, dtype=np.uint8)
+    for at in _spans(m, n * n):
+        tagged = keys[at]
+        tagged.sort(axis=1)
+        vertex = (tagged & np.uint64(31)).astype(np.uint8)
+        tagged >>= np.uint64(64 - _KEY_BITS)
+        # A vertex opens a key when it differs from the one before it.
+        opens = np.zeros(tagged.shape, dtype=bool)
+        np.not_equal(tagged[:, 1:], tagged[:, :-1], out=opens[:, 1:])
+        place = np.cumsum(opens.view(np.uint8), axis=1, dtype=np.uint8)
+        ranks[at][np.arange(len(tagged))[:, None], vertex] = place
+        split[at] = place[:, -1] + 1
+    return ranks, split
 
 
 def canonical_graph(g: Graph) -> tuple[CanonKey, Graph]:
@@ -289,31 +311,10 @@ def decode_key(key: CanonKey) -> Graph:
     return Graph(n, tuple(decode_keys([key])[0].tolist()))
 
 
-@lru_cache(maxsize=1)
-def _decode_table(n: int) -> np.ndarray:
-    """The (key bytes x 256 x n) uint32 table of order n: entry [b, v] is the
-    rows whose bits key byte 1 + b set when it holds v (read-only, shared).
-    A run decodes one order at a time and the table takes about 64 n**3
-    bytes (78 KB at order 11, 2 MB at 32), so only the last order's is kept."""
-    first, second = np.nonzero(upper_pairs(n))  # pair p of the key body, MSB first
-    pair = np.arange(len(first))
-    # Pair p = (a, b) sets bit b of row a and bit a of row b; byte c holds pairs 8 c to 8 c + 7.
-    bits = np.zeros((-(-len(pair) // 8) * 8, n), dtype=np.uint32)
-    bits[pair, first] = np.uint32(1) << second.astype(np.uint32)
-    bits[pair, second] = np.uint32(1) << first.astype(np.uint32)
-    bits = bits.reshape(len(bits) // 8, 8, n)
-    # Each pass appends the next bit of the byte value to the table's index.
-    table = np.zeros((len(bits), 1, n), dtype=np.uint32)
-    for at in range(8):
-        table = np.stack([table, table | bits[:, at, None]], axis=2).reshape(len(bits), 2 << at, n)
-    table.flags.writeable = False
-    return table
-
-
 def decode_keys(keys: Sequence[CanonKey]) -> np.ndarray:
     """The (keys x n) uint32 rows of the graphs ``decode_key`` rebuilds from
-    keys of one order n ((0 x 0) for no keys): the OR over the key's body
-    bytes of their ``_decode_table`` entries.
+    keys of one order n ((0 x 0) for no keys): the sum over the key's body
+    bytes of their ``graphs.key_tables`` entries.
 
     The keys are not validated: they must come from ``canonical_forms`` (or
     have passed ``decode_key``).
@@ -322,8 +323,4 @@ def decode_keys(keys: Sequence[CanonKey]) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.uint32)
     n = keys[0][0]
     data = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
-    table = _decode_table(n)
-    rows = np.zeros((len(keys), n), dtype=np.uint32)
-    for at, entries in enumerate(table):
-        rows |= entries[data[:, 1 + at]]
-    return rows
+    return _apply_tables(key_tables(n), data, np.zeros((len(keys), n), dtype=np.uint32))

@@ -10,12 +10,17 @@ and member count, one graph6 line per member in canonical-key order, and a
 SHA-256 digest over the body so truncation or tampering is detected before a
 resumed search can be poisoned.
 
-Both codecs have one implementation each, a numpy kernel over a (graphs x n)
-array of adjacency rows; ``graph6_encode`` and ``graph6_decode`` validate one
-graph or line and call it on a batch of one.  ``write_level`` encodes a
-level's rows a chunk at a time; ``read_level`` decodes and labels the body a
-labeling batch (``graphs._label_spans``) at a time and leaves the level's
-rows to ``LevelSet.from_keys``.
+Both codecs have one implementation each, a table-driven numpy kernel
+(``graphs.graph6_tables``, ``graphs.row_tables``) between a (graphs x n)
+array of adjacency rows and a (graphs x characters) uint8 block of lines;
+``graph6_encode`` and ``graph6_decode`` validate one graph or line and call
+it on a batch of one.  Level bodies move as such blocks, never as one
+string per member: ``write_level`` encodes a level's rows a chunk at a time
+and streams each block to the file and the digest, and ``read_level`` views
+a regular body as one block over the file's bytes (any other body is read
+line by line, ``_body_rows``), decodes and labels it a labeling batch
+(``graphs._label_spans``) at a time and leaves the level's rows to
+``LevelSet.from_keys``.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ from .errors import CapacityError, DecodeError, IntegrityError, SpecConflictErro
 from .graphs import (
     MAX_N,
     Graph,
+    _apply_tables,
     _label_spans,
     _spans,
-    adjacency_matrices,
-    matrix_rows,
-    row_array,
-    upper_pairs,
+    graph6_tables,
+    row_bytes,
+    row_tables,
 )
 
 _LEVEL_MAGIC = "tfree-level 1"
@@ -49,35 +54,47 @@ def graph6_encode(g: Graph) -> str:
     n = g.order
     if n > 62:
         raise CapacityError("single-byte graph6 size form supports order <= 62")
-    return _graph6_lines(row_array([g.adj], n))[0]
+    rows = np.array(g.adj, dtype=f"<u{row_bytes(n)}").reshape(1, n)
+    return _graph6_block(rows)[0, :-1].tobytes().decode("ascii")
 
 
-def _graph6_lines(rows: np.ndarray) -> list[str]:
-    """The graph6 line of every graph of a (graphs x n) row array."""
+def _graph6_width(n: int) -> int:
+    """The characters of a graph6 line of order n: the size character, then
+    n(n-1)/2 bits six a character."""
+    return 1 + (n * (n - 1) // 2 + 5) // 6
+
+
+def _graph6_block(rows: np.ndarray) -> np.ndarray:
+    """The graph6 lines of every graph of a (graphs x n) unsigned row array,
+    each ended by a newline, as a (graphs x (width + 1)) uint8 block: the
+    sum of the ``row_tables`` entries of the rows' bytes, plus 63."""
     m, n = rows.shape
-    # x(u, v) for u < v in sequence order, by v and then by u: the lower
-    # triangle, row by row.
-    bits = adjacency_matrices(rows)[:, upper_pairs(n).T]
-    # Six bits a character, most significant first, zero padded.
-    need = (bits.shape[1] + 5) // 6
-    six = np.zeros((m, need * 6), dtype=bool)
-    six[:, :bits.shape[1]] = bits
-    values = np.packbits(six.reshape(m, need, 6), axis=2)[:, :, 0] >> 2
-    text = np.hstack([np.full((m, 1), n, dtype=np.uint8), values]) + np.uint8(63)
-    blob = text.tobytes().decode("ascii")
-    width = text.shape[1]
-    return [blob[at:at + width] for at in range(0, len(blob), width)]
+    block = np.zeros((m, _graph6_width(n) + 1), dtype=np.uint8)
+    octets = np.ascontiguousarray(rows, dtype=f"<u{row_bytes(n)}").view(np.uint8)
+    _apply_tables(row_tables(n), octets, block)
+    block[:, 1:-1] += np.uint8(63)
+    block[:, 0] = n + 63
+    block[:, -1] = ord("\n")
+    return block
 
 
 def _graph6_rows(data: np.ndarray, n: int) -> np.ndarray:
     """The (graphs x n) uint32 rows of checked graph6 lines of order ``n``, as a
-    (graphs x characters) uint8 array."""
-    sequence = np.arange(n * (n - 1) // 2)
-    values = data[:, 1 + sequence // 6] - np.uint8(63)
-    matrices = np.zeros((len(data), n, n), dtype=bool)
-    matrices[:, upper_pairs(n).T] = values >> (5 - sequence % 6).astype(np.uint8) & 1
-    matrices |= matrices.transpose(0, 2, 1)
-    return matrix_rows(matrices)
+    (graphs x characters) uint8 array (characters past the line's ignored)."""
+    return _apply_tables(graph6_tables(n), data - np.uint8(63),
+                         np.zeros((len(data), n), dtype=np.uint32))
+
+
+def _regular(data: np.ndarray, n: int) -> np.ndarray:
+    """Per line of a (lines x ``_graph6_width(n)``) uint8 array: whether its
+    characters are all in the graph6 range, its size character is n's and
+    its padding bits are zero, which is all ``graph6_decode`` checks of a
+    line of that width."""
+    nbits = n * (n - 1) // 2
+    padding = np.uint8((1 << (6 * data.shape[1] - 6 - nbits)) - 1)
+    values = data - np.uint8(63)
+    return ((values < 64).all(axis=1) & (data[:, 0] == n + 63)
+            & ((values[:, -1] & padding) == 0))
 
 
 def graph6_decode(line: str) -> Graph:
@@ -125,21 +142,22 @@ def _body_digest(lines: list[str]) -> str:
 
 
 def write_level(level: LevelSet, spec: ProblemSpec, destination) -> None:
-    """Write a level file; members appear in stored (canonical-key) order."""
-    body = []
-    for span in _spans(len(level), level.order ** 2):
-        body += _graph6_lines(level.rows[span])
-    lines = [_LEVEL_MAGIC]
-    lines.extend(_spec_fields(spec))
-    lines.append(f"order {level.order}")
-    lines.append(f"count {len(body)}")
-    lines.append("begin")
-    lines.extend(body)
-    lines.append(f"digest sha256 {_body_digest(body)}")
+    """Write a level file; members appear in stored (canonical-key) order.
+
+    The body is encoded from the level's rows a chunk (``_spans``) at a
+    time and streamed to the file and the digest."""
+    header = [_LEVEL_MAGIC, *_spec_fields(spec), f"order {level.order}",
+              f"count {len(level)}", "begin"]
+    digest = hashlib.sha256()
     path = Path(destination)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="ascii") as out:
-        out.write("\n".join(lines) + "\n")
+    with open(tmp, "wb") as out:
+        out.write(("\n".join(header) + "\n").encode("ascii"))
+        for span in _spans(len(level), level.order ** 2):
+            block = _graph6_block(level.rows[span])
+            digest.update(block)
+            out.write(block)
+        out.write(f"digest sha256 {digest.hexdigest()}\n".encode("ascii"))
         # On disk before the rename, so a crash never leaves an empty checkpoint.
         out.flush()
         os.fsync(out.fileno())
@@ -159,20 +177,8 @@ def _parse_header_int(lines: list[str], index: int, name: str) -> int:
         raise IntegrityError(f"level file line {index + 1}: bad {name} value {value!r}")
 
 
-def read_level(source) -> tuple[LevelSet, ProblemSpec]:
-    """Read and validate a level file; members are re-canonicalized.
-
-    The body is decoded and labeled a labeling batch (``_label_spans``) at
-    a time (``_body_rows``, ``canonical_forms``), and the level's rows are
-    decoded from its sorted keys (``LevelSet.from_keys``).
-    """
-    data = Path(source).read_bytes()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise IntegrityError(f"level file: non-ASCII byte 0x{data[exc.start]:02x} "
-                             f"at byte offset {exc.start}") from None
-    lines = text.splitlines()
+def _parse_header(lines: list[str]) -> tuple[ProblemSpec, int, int]:
+    """The spec, order and member count of a level file's first lines."""
     if not lines or lines[0] != _LEVEL_MAGIC:
         raise IntegrityError(f"not a level file: missing '{_LEVEL_MAGIC}' header")
     if len(lines) < 7:
@@ -186,26 +192,70 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     count = _parse_header_int(lines, 5, "count")
     if lines[6] != "begin":
         raise IntegrityError("level file line 7: missing 'begin' marker")
-    body = lines[7:7 + count]
-    if len(body) != count:
-        raise IntegrityError(f"level file holds {len(body)} members, header says {count}")
-    footer_index = 7 + count
-    if len(lines) <= footer_index:
+    return ProblemSpec(k=k, j=j, i=i), order, count
+
+
+def _regular_body(data: bytes, start: int, order: int, count: int) -> np.ndarray | None:
+    """The body of a level file whose header ends at byte ``start``, as a
+    read-only (count x (width + 1)) view of the file's bytes, when it is
+    regular: ``count`` lines of graph6 width, each ended by a newline, every
+    one ``_regular``.  None for any other body."""
+    width = _graph6_width(order) + 1
+    if len(data) < start + count * width:
+        return None
+    block = np.frombuffer(data, dtype=np.uint8, count=count * width, offset=start)
+    block = block.reshape(count, width)
+    if (block[:, -1] == ord("\n")).all() and _regular(block[:, :-1], order).all():
+        return block
+    return None
+
+
+def read_level(source) -> tuple[LevelSet, ProblemSpec]:
+    """Read and validate a level file; members are re-canonicalized.
+
+    A regular body (``_regular_body``: what ``write_level`` writes) is read
+    as a byte block over the file's bytes, hashed and decoded as it stands;
+    any other body is split into lines and decoded line by line where it
+    must be (``_body_rows``), so that its first bad line raises what
+    decoding line by line would.  Either way the checks and their errors
+    are the same.  The body is decoded and labeled a labeling batch
+    (``_label_spans``) at a time (``canonical_forms``), and the level's rows
+    are decoded from its sorted keys (``LevelSet.from_keys``).
+    """
+    data = Path(source).read_bytes()
+    if not data.isascii():
+        at = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 127))
+        raise IntegrityError(f"level file: non-ASCII byte 0x{data[at]:02x} "
+                             f"at byte offset {at}")
+    start = 0
+    for _ in range(7):  # past the header: the first seven lines
+        start = data.find(b"\n", start) + 1 or len(data)
+    head = data[:start].decode("ascii").splitlines()
+    spec, order, count = _parse_header(head)
+    block = _regular_body(data, start, order, count) if len(head) == 7 else None
+    if block is None:
+        lines = data.decode("ascii").splitlines()
+        body, rest = lines[7:7 + count], lines[7 + count:]
+        if len(body) != count:
+            raise IntegrityError(f"level file holds {len(body)} members, header says {count}")
+        actual = _body_digest(body)
+    else:
+        body, rest = block, data[start + block.size:].decode("ascii").splitlines()
+        actual = hashlib.sha256(block).hexdigest()
+    if not rest:
         raise IntegrityError("level file: missing digest footer")
-    footer = lines[footer_index]
-    if not footer.startswith("digest sha256 "):
+    if not rest[0].startswith("digest sha256 "):
         raise IntegrityError("level file: malformed digest footer")
-    if len(lines) > footer_index + 1:
-        raise IntegrityError(f"level file line {footer_index + 2}: data after digest footer")
-    expected = footer[len("digest sha256 "):]
-    actual = _body_digest(body)
+    if len(rest) > 1:
+        raise IntegrityError(f"level file line {7 + count + 2}: data after digest footer")
+    expected = rest[0][len("digest sha256 "):]
     if actual != expected:
         raise IntegrityError(f"level file digest mismatch: {actual} != {expected}")
 
-    spec = ProblemSpec(k=k, j=j, i=i)
     keys = []
     for span in _label_spans(count, order):
-        keys += canonical_forms(_body_rows(body[span], order))
+        rows = _body_rows(body[span], order) if block is None else _graph6_rows(body[span], order)
+        keys += canonical_forms(rows)
     keys.sort()
     for key, next_key in zip(keys, keys[1:]):
         if key == next_key:
@@ -216,19 +266,16 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
 def _body_rows(lines: list[str], order: int) -> np.ndarray:
     """The (lines x order) uint32 rows of body lines, in file order.
 
-    A line of the exact length, its characters in range, the right size
-    character and zero padding bits is decoded with the others in one pass;
-    every other line goes through ``graph6_decode`` and the order check in
-    file order, so the first bad line raises what decoding line by line would.
+    A ``_regular`` line of the graph6 width is decoded with the others in
+    one pass; every other line goes through ``graph6_decode`` and the order
+    check in file order, so the first bad line raises what decoding line by
+    line would.
     """
-    nbits = order * (order - 1) // 2
-    width = 1 + (nbits + 5) // 6
+    width = _graph6_width(order)
     sized = [at for at, line in enumerate(lines) if len(line) == width]
     data = np.frombuffer("".join([lines[at] for at in sized]).encode("ascii"),
                          dtype=np.uint8).reshape(len(sized), width)
-    padding = np.uint8((1 << (6 * width - 6 - nbits)) - 1)
-    fits = (((data >= 63) & (data <= 126)).all(axis=1) & (data[:, 0] == order + 63)
-            & (((data[:, -1] - np.uint8(63)) & padding) == 0))
+    fits = _regular(data, order)
     fast = np.zeros(len(lines), dtype=bool)
     fast[sized] = fits
     rows = np.zeros((len(lines), order), dtype=np.uint32)

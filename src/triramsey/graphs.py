@@ -5,13 +5,22 @@ vertex, each row an int bitmask over vertex indices ``0..n-1``.  Vertex sets
 everywhere in this package are plain int bitmasks of the same kind, so all
 set algebra is single-word bit arithmetic.  Graphs are immutable values:
 every operation returns a new ``Graph``.  Batches of graphs of one order
-travel as (graphs x n) numpy arrays of rows; ``adjacency_matrices`` and
-``matrix_rows`` convert them to and from bool matrices for the codecs.
+travel as (graphs x n) numpy arrays of rows; ``adjacency_matrices`` expands
+them to bool matrices for the bit-sliced kernels.
+
+Every codec between rows and bytes is table-driven: ``_bit_tables`` turns a
+bit permutation into one lookup table per source byte, and a batch is then
+encoded or decoded by one gather and one add per source byte
+(``_apply_tables``; the entries set disjoint bits, so their sum is their
+OR).  Three tables are built from it, lazily and cached per order:
+canonical key -> rows (``key_tables``), graph6 -> rows (``graph6_tables``)
+and rows -> graph6 (``row_tables``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,10 +40,10 @@ VertexSet = int
 #: filter and the resume check, the (graphs x n x n) adjacency matrices of a
 #: chunk and the (levels x members x subsets x words) saturating counts and
 #: (members x subsets x words) edge gathers of its uint64 edge planes; the
-#: graph6 encode of a level file; and the (graphs x n(n-1)/2) gathers in
-#: which ``canon`` encodes leaves and the (graphs x n) gathers in which it
-#: ranks.  ``_spans`` chunks the set, pair, graph and subset axes to respect
-#: it.  One batch of graphs of order n is ``_BROADCAST_ELEMENTS // n**2`` of
+#: graph6 blocks of a level file's writer; and the (graphs x n(n-1)/2)
+#: gathers in which ``canon`` encodes leaves and the (graphs x n) uint64 keys
+#: it sorts to rank.  ``_spans`` chunks the set, pair, graph and subset axes
+#: to respect it.  One batch of graphs of order n is ``_BROADCAST_ELEMENTS // n**2`` of
 #: them: ``enumeration.level_step`` cuts a level into tasks of at most one
 #: batch of parents.
 _BROADCAST_ELEMENTS = 1 << 16
@@ -168,20 +177,109 @@ def adjacency_matrices(rows: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, axis=2, count=n, bitorder="little").view(bool)
 
 
-def matrix_rows(matrices: np.ndarray) -> np.ndarray:
-    """The (graphs x rows) uint32 bitmasks of the rows of (graphs x rows x n)
-    bool matrices (n <= MAX_N); ``adjacency_matrices`` inverted."""
-    m, count, n = matrices.shape
-    octets = np.zeros((m, count, 4), dtype=np.uint8)
-    octets[:, :, :(n + 7) // 8] = np.packbits(matrices, axis=2, bitorder="little")
-    return octets.view("<u4")[:, :, 0].astype(np.uint32, copy=False)
-
-
-def upper_pairs(n: int) -> np.ndarray:
-    """The (n x n) bool mask of the vertex pairs a < b; indexing the last two
-    axes with it lists them by a, then by b."""
+@lru_cache(maxsize=None)
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs a < b of order n, by a and then by b, as two
+    read-only index arrays of their a and their b (``np.triu_indices(n, 1)``),
+    built once per order."""
     vertices = np.arange(n)
-    return vertices[:, None] < vertices
+    pairs = np.nonzero(vertices[:, None] < vertices)
+    for side in pairs:
+        side.flags.writeable = False
+    return pairs
+
+
+def _bit_tables(unit: np.ndarray, shift: np.ndarray, word: np.ndarray, bit: np.ndarray,
+                unit_bits: int, dtype) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """The lookup tables of a bit permutation: source bit s, bit ``shift[s]``
+    of the ``unit_bits``-bit source unit ``unit[s]``, sets bit ``bit[s]`` of
+    target word ``word[s]``.  One (unit, first word, table) per unit that
+    holds a source bit, in unit order: row x of the read-only table holds
+    the target words from the first word on that the unit's value x sets, so
+    that ``_apply_tables`` decodes the unit with one gather and one add over
+    just those words.  No two source bits set the same target bit, so sums
+    of entries are their ORs."""
+    tables = []
+    for u in sorted(set(unit.tolist())):  # np.unique would import numpy.ma, 1.6 MB
+        at = np.flatnonzero(unit == u)
+        first = int(word[at].min())
+        places = np.zeros((unit_bits, int(word[at].max()) + 1 - first), dtype=dtype)
+        masks = np.uint32(1) << bit[at].astype(np.uint32)
+        places[shift[at], word[at] - first] = masks.astype(dtype)
+        # Each pass appends the next lower bit of the unit's value to the index.
+        table = np.zeros((1, places.shape[1]), dtype=dtype)
+        for place in places[::-1]:
+            table = np.stack([table, table + place], axis=1).reshape(-1, places.shape[1])
+        table.flags.writeable = False
+        tables.append((u, first, table))
+    return tuple(tables)
+
+
+def _apply_tables(tables: tuple[tuple[int, int, np.ndarray], ...], source: np.ndarray,
+                  target: np.ndarray) -> np.ndarray:
+    """Add into the (items x words) ``target`` the table entries of every
+    item's (items x units) uint8 ``source`` units, and return it."""
+    for unit, first, table in tables:
+        target[:, first:first + table.shape[1]] += table.take(source[:, unit], axis=0)
+    return target
+
+
+def _row_sides(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair (a, b) sets bit b of row a and bit a of row b: the rows and the
+    bits of both sides of pairs with a in ``first`` and b in ``second``, a's
+    side first."""
+    return np.concatenate([first, second]), np.concatenate([second, first])
+
+
+def _graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs a < b of order n in graph6 order, by b and then by
+    a, as index arrays of their a and their b."""
+    vertices = np.arange(n)
+    second, first = np.nonzero(vertices[:, None] > vertices)
+    return first, second
+
+
+# The three codecs of the package, built on first use.  A run decodes keys
+# one order at a time, and their tables take 1.1 MB at order 32, so only the
+# last order's are kept.  ``graph6_encode`` and ``graph6_decode`` take one
+# graph of any order, so that a caller may switch orders at every call; the
+# graph6 tables take at most 0.33 MB for one order and 6 MB for every order,
+# so every order's are kept.
+
+@lru_cache(maxsize=1)
+def key_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Canonical key -> rows: key byte 1 + p // 8 holds pair p of
+    ``upper_pairs(n)`` at bit 7 - p % 8 (``canon``'s key layout)."""
+    first, second = upper_pairs(n)
+    byte, place = np.divmod(np.tile(np.arange(len(first)), 2), 8)
+    return _bit_tables(1 + byte, 7 - place, *_row_sides(first, second), 8, np.uint32)
+
+
+@lru_cache(maxsize=None)
+def graph6_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """graph6 -> rows: character 1 + s // 6, less 63, holds the graph6 pair
+    s at bit 5 - s % 6 (``formats``' codec)."""
+    first, second = _graph6_pairs(n)
+    char, place = np.divmod(np.tile(np.arange(len(first)), 2), 6)
+    return _bit_tables(1 + char, 5 - place, *_row_sides(first, second), 6, np.uint32)
+
+
+@lru_cache(maxsize=None)
+def row_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Rows -> graph6: the source units are the bytes of the rows as
+    little-endian words of ``row_bytes(n)`` bytes, where row b holds pair
+    (a, b) at bit a; the target words are the line's characters, less 63
+    (``graph6_tables`` inverted)."""
+    first, second = _graph6_pairs(n)
+    byte, bit = np.divmod(first, 8)
+    char, place = np.divmod(np.arange(len(first)), 6)
+    return _bit_tables(second * row_bytes(n) + byte, bit, 1 + char, 5 - place, 8, np.uint8)
+
+
+def row_bytes(n: int) -> int:
+    """The bytes of one row word of order n in ``row_tables``: 4 up to
+    MAX_N, 8 past it (graph6 lines reach order 62)."""
+    return 4 if n <= MAX_N else 8
 
 
 def empty_graph(order: int) -> Graph:

@@ -369,6 +369,25 @@ def test_refine_matches_round_based_reference():
             assert split == len(reference)
 
 
+@pytest.mark.parametrize("n", [1, 11, 14, 15, 16, 23, 32])
+def test_round_ranks_match_field_tuples(n):
+    # A round ranks each vertex by the tuple (cell, its count of neighbours
+    # in each cell).  From order 15 on, a tuple over many cells takes more
+    # bits than one sort key holds, and the key is folded into its rank part
+    # way: the ranks must still be the tuples' dense ranks.
+    rng = random.Random(60 + n)
+    graphs = [random_graph(rng, n, p=rng.choice([0.2, 0.5, 0.8])) for _ in range(40)]
+    count = max(1, n - rng.randint(0, 2))
+    cells = np.array([[rng.randrange(count) for _ in range(n)] for _ in graphs], dtype=np.uint8)
+    ranks, split = canon._round_ranks(row_array(graphs, n), cells.copy(), count)
+    for g, cell, rank, distinct in zip(graphs, cells.tolist(), ranks.tolist(), split.tolist()):
+        fields = [(cell[v],) + tuple(sum(1 for u in range(n) if g.adj[v] >> u & 1 and cell[u] == c)
+                                     for c in range(count)) for v in range(n)]
+        order = sorted(set(fields))
+        assert rank == [order.index(f) for f in fields]
+        assert distinct == len(order)
+
+
 def golden_corpus() -> list[Graph]:
     """Seeded random triangle-free graphs of order 0-15, every second one with
     an added twin, plus five named graphs."""
@@ -548,6 +567,39 @@ def test_labeling_batch_peak(n):
     finally:
         tracemalloc.stop()
     assert peak < 800_000, peak
+
+
+def test_clebsch_labeling_batch_peak(monkeypatch):
+    # A full labeling batch of relabeled Clebsch graphs: vertex-transitive and
+    # twin-free, so no refinement splits the root and each graph's search
+    # tree has at least |Aut| = 1920 leaves, a frontier far wider than the
+    # batch.  The bound is shrunk to 1024 elements, so that the batch is 16
+    # graphs: at the default bound its 1,024 graphs take 24 s under
+    # tracemalloc.  The search individualizes and refines that frontier a
+    # labeling batch at a time.  The parent commit, which individualized the
+    # whole frontier at once, peaked at 6,567,698 B here (431 MB at the
+    # default bound); this code reads 0.56 MB.
+    monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", 1 << 10)
+    n = CLEBSCH.order
+    rng = random.Random(16)
+    copies = [permute(CLEBSCH, random_permutation(rng, n))
+              for _ in range(_LABEL_BATCHES * (1 << 10) // n ** 2)]
+    assert len(copies) == 16
+    leaves = []
+    encode = canon._leaf_keys
+    monkeypatch.setattr(canon, "_leaf_keys", lambda rows, cells: leaves.append(len(rows)) or encode(rows, cells))
+    rows = row_array(copies, n)
+    canonical_forms(rows[:1])  # fills the caches of the first call
+    leaves.clear()
+    tracemalloc.start()
+    try:
+        keys = canonical_forms(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(leaves) >= 1920 * len(copies)
+    assert keys == [canonical_form(c) for c in copies]
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -26,10 +26,12 @@ from triramsey import (
     single_vertex,
     write_level,
 )
+from triramsey import formats
+from triramsey.canon import canonical_forms
 from triramsey.enumeration import LevelSet
-from triramsey.formats import _body_digest, _body_rows, _graph6_lines, render_report
+from triramsey.formats import _body_digest, _body_rows, _graph6_block, render_report
 
-from .conftest import random_graph, random_permutation
+from .conftest import random_graph, random_permutation, random_triangle_free
 
 
 def test_graph6_fixed_values():
@@ -129,7 +131,8 @@ def test_graph6_batches_match_one_item_calls(seed, monkeypatch, tmp_path):
         assert lines == [reference_graph6(g) for g in graphs]
         assert [graph6_decode(line) for line in lines] == graphs
         rows = np.array([g.adj for g in graphs], dtype=np.uint64).reshape(len(graphs), n)
-        assert _graph6_lines(rows) == lines
+        block = _graph6_block(rows)
+        assert block.tobytes().decode("ascii") == "".join(line + "\n" for line in lines)
         assert _body_rows(lines, n).tolist() == [list(g.adj) for g in graphs]
         target = tmp_path / f"level-{n}.lvl"
         write_level(LevelSet(n, tuple((b"", g) for g in graphs)), spec, target)
@@ -144,8 +147,70 @@ def test_graph6_encode_beyond_package_capacity():
         g = random_graph(rng, 32, 0.5)
         g = Graph(n, g.adj + (0,) * (n - 32))
         assert graph6_encode(g) == reference_graph6(g)
+        # Rows wider than 32 bits: edges between every pair of vertices.
+        rows = [0] * n
+        for u, v in ((u, v) for v in range(n) for u in range(v) if rng.random() < 0.5):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        assert graph6_encode(Graph(n, tuple(rows))) == reference_graph6(Graph(n, tuple(rows)))
     with pytest.raises(CapacityError):
         graph6_encode(Graph(63, (0,) * 63))
+
+
+def reference_level_file(level: LevelSet, spec: ProblemSpec) -> bytes:
+    """A level file as its layout defines it: the header, one
+    ``graph6_encode`` line per member, and the digest of those lines."""
+    body = [graph6_encode(g) for g in level.graphs()]
+    lines = ["tfree-level 1", f"k {spec.k}", f"i {'-' if spec.i is None else spec.i}",
+             f"j {spec.j}", f"order {level.order}", f"count {len(body)}", "begin", *body,
+             f"digest sha256 {_body_digest(body)}"]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_write_level_matches_reference_writer(seed, monkeypatch, tmp_path):
+    """``write_level`` streams the body a chunk at a time into the file and
+    the digest; the bytes must be what the reference writer gives, for
+    levels of the canonical keys of triangle-free graphs of every order
+    1..MAX_N, for levels of ``(b"", Graph)`` pairs of any graphs, and for an
+    empty level; odd seeds shrink the
+    broadcast bound, so the body is written in many chunks."""
+    rng = random.Random(60 + seed)
+    levels = [LevelSet(5, ())]
+    for n in range(1, MAX_N + 1):
+        members = [random_triangle_free(rng, n) for _ in range(rng.randint(1, 12))]
+        keys = sorted(set(canonical_forms(np.array([g.adj for g in members], dtype=np.uint32))))
+        graphs = [random_graph(rng, n, rng.choice([0.1, 0.5, 0.9])) for _ in range(rng.randint(1, 12))]
+        levels += [LevelSet.from_keys(n, keys), LevelSet(n, [(b"", g) for g in graphs])]
+    if seed % 2:
+        monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", rng.choice([1, 50, 3000]))
+    spec = ProblemSpec(k=seed, j=7, i=None if seed < 2 else 5)
+    target = tmp_path / "level.lvl"
+    for level in levels:
+        write_level(level, spec, target)
+        assert target.read_bytes() == reference_level_file(level, spec), level.order
+
+
+def test_crlf_level_file_reads_back(tmp_path, monkeypatch):
+    """A level file whose lines end in CRLF is no regular body: it is read
+    line by line, its digest taken over the lines, and it reads back equal
+    (as it did when every file was read line by line)."""
+    spec = ProblemSpec(k=2, j=7)
+    level = level_at(spec, 8)
+    target = tmp_path / "level.lvl"
+    write_level(level, spec, target)
+    lined = []
+    body_rows = formats._body_rows
+    monkeypatch.setattr(formats, "_body_rows", lambda lines, order: lined.append(len(lines))
+                        or body_rows(lines, order))
+    assert read_level(target) == (level, spec)
+    assert lined == []  # a regular body is read as a block
+    target.write_bytes(target.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_level(target) == (level, spec)
+    assert sum(lined) == len(level)
+    rewritten = tmp_path / "rewritten.lvl"
+    write_level(read_level(target)[0], spec, rewritten)
+    assert rewritten.read_bytes() == reference_level_file(level, spec)
 
 
 def test_level_file_round_trip(tmp_path):
@@ -408,6 +473,29 @@ def test_bad_line_in_a_later_chunk_detected(tmp_path, monkeypatch, name, bound):
     with pytest.raises(error) as info:
         read_level(target)
     assert str(info.value) == message
+
+
+def test_line_ends_decide_the_body(tmp_path):
+    # Two byte edits of a regular file that leave every body row of graph6
+    # width and characters; only the line ends show that the body is not
+    # where a regular one would be, and the file must fail as it does when
+    # read line by line.
+    spec = ProblemSpec(k=2, j=7)
+    target = tmp_path / "level.lvl"
+    write_level(level_at(spec, 7), spec, target)
+    data = target.read_bytes()
+    body = data.index(b"begin\n") + len(b"begin\n")
+    edits = {
+        # The first body line's newline becomes a graph6 character: 84 lines.
+        "joined": (data[:body + 5] + b"?" + data[body + 6:], "level file: missing digest footer"),
+        # A vertical tab ends a line: the body starts one line early.
+        "tabbed": (data.replace(b"begin\n", b"begin\x0b\n"), "level file: malformed digest footer"),
+    }
+    for name, (edited, message) in edits.items():
+        target.write_bytes(edited)
+        with pytest.raises(IntegrityError) as info:
+            read_level(target)
+        assert str(info.value) == message, name
 
 
 def test_prefixed_and_padded_lines_accepted(tmp_path, monkeypatch):
