@@ -26,7 +26,6 @@ from .enumeration import (
     LevelCardinalityExceeded,
     LevelSet,
     ProblemSpec,
-    extend_graph,
     find_forbidden_set,
     first_nonmember,
     initial_level,

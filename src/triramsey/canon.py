@@ -6,10 +6,11 @@ most significant bit first, zero padded.  Two graphs get equal keys exactly
 when they are isomorphic, and keys compare as plain byte strings, which gives
 the total order used for deduplication and stable file output.  The key is
 the whole class: ``decode_key`` rebuilds the canonically labeled
-representative from it, so no relabeled graph is ever carried beside a key;
-``decode_keys`` gives the rows of a chunk of keys, adding one
-``graphs.key_tables`` entry per key byte, and a level's rows are decoded
-with it, once, by ``enumeration.LevelSet.from_keys``.
+representative from it, so no relabeled graph is ever carried beside a key.
+The layout has one home, this module: ``_encode_rows`` writes it,
+``decode_key`` validates it, and ``decode_keys`` gives the rows of a chunk
+of keys, adding one ``key_tables`` entry per key byte; a level's rows are
+decoded with it, once, by ``enumeration.LevelSet.from_keys``.
 
 The labeling is found by equitable partition refinement plus
 individualization.  Vertices with identical neighborhoods (false twins) are
@@ -36,6 +37,7 @@ holds little more than one batch did in int64.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -45,15 +47,38 @@ from .graphs import (
     MAX_N,
     Graph,
     _apply_tables,
+    _bit_tables,
     _label_spans,
+    _row_sides,
     _spans,
-    key_tables,
     row_array,
-    upper_pairs,
 )
 
 #: Total-order canonical encoding of a graph; byte-compare gives the order.
 CanonKey = bytes
+
+
+@lru_cache(maxsize=None)
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs a < b of order n, by a and then by b, as two
+    read-only index arrays of their a and their b (``np.triu_indices(n, 1)``),
+    built once per order."""
+    vertices = np.arange(n)
+    pairs = np.nonzero(vertices[:, None] < vertices)
+    for side in pairs:
+        side.flags.writeable = False
+    return pairs
+
+
+# A run decodes keys one order at a time, and their tables take 1.1 MB at
+# order 32, so only the last order's are kept.
+@lru_cache(maxsize=1)
+def key_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Canonical key -> rows: key byte 1 + p // 8 holds pair p of
+    ``upper_pairs(n)`` at bit 7 - p % 8."""
+    first, second = upper_pairs(n)
+    byte, place = np.divmod(np.tile(np.arange(len(first)), 2), 8)
+    return _bit_tables(1 + byte, 7 - place, *_row_sides(first, second), 8, np.uint32)
 
 
 def _encode_rows(rows: np.ndarray, orders: np.ndarray) -> list[CanonKey]:
@@ -314,7 +339,7 @@ def decode_key(key: CanonKey) -> Graph:
 def decode_keys(keys: Sequence[CanonKey]) -> np.ndarray:
     """The (keys x n) uint32 rows of the graphs ``decode_key`` rebuilds from
     keys of one order n ((0 x 0) for no keys): the sum over the key's body
-    bytes of their ``graphs.key_tables`` entries.
+    bytes of their ``key_tables`` entries.
 
     The keys are not validated: they must come from ``canonical_forms`` (or
     have passed ``decode_key``).

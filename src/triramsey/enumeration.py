@@ -7,8 +7,8 @@ the next order attaches a new vertex to independent sets of every member
 vertex maximizes the isomorphism invariant (degree, neighbour-degree sum) in
 the child and only to one set per twin-class count pattern, keeps a child
 only when no forbidden set passes through the new vertex, and deduplicates
-by canonical key.  Neither rule loses a class (``surviving_extension_sets``
-gives the argument): pick a vertex w of a next-level class G' that
+by canonical key.  Neither rule loses a class (``_attachment_sets`` gives
+the argument): pick a vertex w of a next-level class G' that
 maximizes the pair; an isomorphism p maps G' - w onto a stored parent P,
 and P + p(N(w)) is G' with w as the new vertex; moving that set to its
 twin-prefix form is an automorphism of P, so it keeps every vertex's pair.
@@ -63,19 +63,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .canon import CanonKey, canonical_form, canonical_forms, decode_keys
-from .defect import (
-    has_k_dense_set,
-    has_k_dense_set_containing,
-    has_k_sparse_set,
-    has_k_sparse_set_containing,
-)
+from .defect import has_k_dense_set, has_k_sparse_set
 from .errors import ConstructionError
 from .graphs import (
     Graph,
     VertexSet,
     _label_spans,
     _spans,
-    add_vertex,
     adjacency_matrices,
     find_triangle,
     row_array,
@@ -334,14 +328,43 @@ def _completes(rows: np.ndarray, owner: np.ndarray, sets: np.ndarray, k: int,
 
 
 def _attachment_sets(rows: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The attachment sets that ``surviving_extension_sets`` returns, for
-    every parent of a (parents x n) uint32 row array at once: flat arrays of
-    owners (row indices) and sets, sorted by (owner, set).
+    """The surviving attachment sets of every parent of a (parents x n)
+    uint32 row array, in twin-prefix form, whose new vertex maximizes
+    (degree, neighbour-degree sum) in the child: flat arrays of owners (row
+    indices) and sets, sorted by (owner, set).
+
+    Two rules choose the attachment sets s of each parent g before the filter:
+
+    (a) the new vertex maximizes the pair (degree, sum of its neighbours'
+        degrees), compared lexicographically, over every vertex of the
+        child g + s; ties count as a maximum;
+    (b) s meets every twin class c0 < c1 < ... of g in a prefix:
+        c_i in s implies c_(i-1) in s.
+
+    Neither loses a class.  The pair is an isomorphism invariant of a vertex.
+    Take a class G' of the next level and a vertex w of it that maximizes
+    the pair.  G' - w is a member (membership is hereditary), so an
+    isomorphism p maps it onto its stored parent P, and s = p(N(w)) passes
+    (a): P + s is G' with w as the new vertex.  Moving s to its twin-prefix
+    form is an automorphism of P, and it extends to an isomorphism of the
+    two children that fixes the new vertex, so every vertex keeps its pair:
+    (a) still holds and the child's class is the same.
 
     The independent sets are built by doubling over the vertices, rule (b)
     included: a set takes vertex v only if it holds v's previous twin.  Rule
-    (a) reads each chunk of sets' (sets x n) counts |N(w) & s|, and the
-    filter is ``_completes``, on the complement rows for the dense side.
+    (a) is computed for all sets at once, a chunk of sets' (sets x n) counts
+    at a time, with no child built.  With deg the degrees of g, nds its
+    neighbour-degree sums and c_w = |N(w) & s|, the new vertex has the pair
+    (|s|, sum_w c_w + |s|) and a parent vertex w has (deg_w + [w in s],
+    nds_w + c_w + [w in s] |s|).  No child vertex has a neighbour-degree sum
+    of (n+1)**2 or more, so deg (n+1)**2 + nds compares as the pair does.
+
+    A set s survives the filter (``_completes``) when attaching a new vertex
+    to it creates no k-sparse j-set through that vertex and (in R mode) no
+    k-dense i-set through it: a k-sparse j-set through the new vertex is the
+    vertex plus a k-sparse (j-1)-set of g, and the dense side is the same
+    test on the complement rows, where the new vertex sees every parent
+    vertex outside s.
     """
     m, n = rows.shape
     bits = np.uint32(1) << np.arange(n, dtype=np.uint32)
@@ -397,71 +420,8 @@ def _child_rows(rows: np.ndarray, owner: np.ndarray, sets: np.ndarray) -> np.nda
 
 
 def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
-    """The surviving independent sets of g in twin-prefix form whose new
-    vertex maximizes (degree, neighbour-degree sum) in the child, in
-    ascending order.
-
-    Two rules choose the attachment sets s before the filter:
-
-    (a) the new vertex maximizes the pair (degree, sum of its neighbours'
-        degrees), compared lexicographically, over every vertex of the
-        child g + s; ties count as a maximum;
-    (b) s meets every twin class c0 < c1 < ... of g in a prefix:
-        c_i in s implies c_(i-1) in s.
-
-    Neither loses a class.  The pair is an isomorphism invariant of a vertex.
-    Take a class G' of the next level and a vertex w of it that maximizes
-    the pair.  G' - w is a member (membership is hereditary), so an
-    isomorphism p maps it onto its stored parent P, and s = p(N(w)) passes
-    (a): P + s is G' with w as the new vertex.  Moving s to its twin-prefix
-    form is an automorphism of P, and it extends to an isomorphism of the
-    two children that fixes the new vertex, so every vertex keeps its pair:
-    (a) still holds and the child's class is the same.
-
-    Rule (a) is computed for all sets at once, with no child built.  With
-    deg the degrees of g, nds its neighbour-degree sums and c_w = |N(w) & s|,
-    the new vertex has the pair (|s|, sum_w c_w + |s|) and a parent vertex w
-    has (deg_w + [w in s], nds_w + c_w + [w in s] |s|).  No child vertex has
-    a neighbour-degree sum of (n+1)**2 or more, so deg (n+1)**2 + nds
-    compares as the pair does.
-
-    A set s survives when attaching a new vertex to it creates no k-sparse
-    j-set through that vertex and (in R mode) no k-dense i-set through it:
-    a k-sparse j-set through the new vertex is the vertex plus a k-sparse
-    (j-1)-set of g, and the dense side is the same test in the complement,
-    where the new vertex sees every parent vertex outside s.
-
-    This is ``_attachment_sets`` on a batch of one parent.
-    """
+    """``_attachment_sets`` of one parent g (``perfbench/tracing.py`` replays steps with it)."""
     return _attachment_sets(row_array([g.adj], g.order), spec)[1].tolist()
-
-
-def extend_graph(g: Graph, spec: ProblemSpec) -> list[Graph]:
-    """The surviving one-vertex extensions of g on the attachment sets that
-    ``surviving_extension_sets`` returns, in its order.
-
-    Children of different sets may still be isomorphic; the level merge
-    deduplicates those by key.
-    """
-    rows = row_array([g.adj], g.order)
-    children = _child_rows(rows, *_attachment_sets(rows, spec))
-    return [Graph(g.order + 1, tuple(child)) for child in children.tolist()]
-
-
-def reject_extension_slow(g: Graph, spec: ProblemSpec, s: VertexSet) -> bool:
-    """Reference check for one extension, via the public search API only.
-
-    True when the child formed by attaching a new vertex to ``s`` contains
-    a forbidden set through that vertex.  Tests use this to pin the filter.
-    """
-    child = add_vertex(g, s)
-    v = g.order
-    if has_k_sparse_set_containing(child, v, spec.k, spec.j) is not None:
-        return True
-    if spec.i is not None:
-        if has_k_dense_set_containing(child, v, spec.k, spec.i) is not None:
-            return True
-    return False
 
 
 def _extend_entries(spec: ProblemSpec, rows: np.ndarray) -> list[CanonKey]:

@@ -10,23 +10,26 @@ and member count, one graph6 line per member in canonical-key order, and a
 SHA-256 digest over the body so truncation or tampering is detected before a
 resumed search can be poisoned.
 
-Both codecs have one implementation each, a table-driven numpy kernel
-(``graphs.graph6_tables``, ``graphs.row_tables``) between a (graphs x n)
+The graph6 layout has one home, this module.  Both codecs have one
+implementation each, a table-driven numpy kernel (``graph6_tables``,
+``row_tables``, built by ``graphs._bit_tables``) between a (graphs x n)
 array of adjacency rows and a (graphs x characters) uint8 block of lines;
 ``graph6_encode`` and ``graph6_decode`` validate one graph or line and call
 it on a batch of one.  Level bodies move as such blocks, never as one
 string per member: ``write_level`` encodes a level's rows a chunk at a time
 and streams each block to the file and the digest, and ``read_level`` views
-a regular body as one block over the file's bytes (any other body is read
-line by line, ``_body_rows``), decodes and labels it a labeling batch
-(``graphs._label_spans``) at a time and leaves the level's rows to
-``LevelSet.from_keys``.
+a regular body as one block (``_regular_body``), decodes and labels it a
+labeling batch (``graphs._label_spans``) at a time and leaves the level's
+rows to ``LevelSet.from_keys``.  A body is decoded in one of two ways only:
+as a block, or, when it is not regular even once its lines are split and
+rejoined, line by line through ``graph6_decode``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +42,53 @@ from .graphs import (
     MAX_N,
     Graph,
     _apply_tables,
+    _bit_tables,
     _label_spans,
+    _row_sides,
     _spans,
-    graph6_tables,
-    row_bytes,
-    row_tables,
+    row_array,
 )
 
 _LEVEL_MAGIC = "tfree-level 1"
 _REPORT_MAGIC = "run-report 1"
+
+
+def _graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex pairs a < b of order n in graph6 order, by b and then by
+    a, as index arrays of their a and their b."""
+    vertices = np.arange(n)
+    second, first = np.nonzero(vertices[:, None] > vertices)
+    return first, second
+
+
+# ``graph6_encode`` and ``graph6_decode`` take one graph of any order, so
+# that a caller may switch orders at every call; the tables take at most
+# 0.33 MB for one order and 6 MB for every order, so every order's are kept.
+@lru_cache(maxsize=None)
+def graph6_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """graph6 -> rows: character 1 + s // 6, less 63, holds the graph6 pair
+    s at bit 5 - s % 6."""
+    first, second = _graph6_pairs(n)
+    char, place = np.divmod(np.tile(np.arange(len(first)), 2), 6)
+    return _bit_tables(1 + char, 5 - place, *_row_sides(first, second), 6, np.uint32)
+
+
+@lru_cache(maxsize=None)
+def row_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """Rows -> graph6: the source units are the bytes of the rows as
+    little-endian words of ``row_bytes(n)`` bytes, where row b holds pair
+    (a, b) at bit a; the target words are the line's characters, less 63
+    (``graph6_tables`` inverted)."""
+    first, second = _graph6_pairs(n)
+    byte, bit = np.divmod(first, 8)
+    char, place = np.divmod(np.arange(len(first)), 6)
+    return _bit_tables(second * row_bytes(n) + byte, bit, 1 + char, 5 - place, 8, np.uint8)
+
+
+def row_bytes(n: int) -> int:
+    """The bytes of one row word of order n in ``row_tables``: 4 up to
+    MAX_N, 8 past it (graph6 lines reach order 62)."""
+    return 4 if n <= MAX_N else 8
 
 
 def graph6_encode(g: Graph) -> str:
@@ -135,12 +176,6 @@ def _spec_fields(spec: ProblemSpec) -> list[str]:
     ]
 
 
-def _body_digest(lines: list[str]) -> str:
-    """The sha256 of the body lines, each ended by a newline."""
-    body = "\n".join(lines) + "\n" if lines else ""
-    return hashlib.sha256(body.encode("ascii")).hexdigest()
-
-
 def write_level(level: LevelSet, spec: ProblemSpec, destination) -> None:
     """Write a level file; members appear in stored (canonical-key) order.
 
@@ -214,11 +249,13 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     """Read and validate a level file; members are re-canonicalized.
 
     A regular body (``_regular_body``: what ``write_level`` writes) is read
-    as a byte block over the file's bytes, hashed and decoded as it stands;
-    any other body is split into lines and decoded line by line where it
-    must be (``_body_rows``), so that its first bad line raises what
-    decoding line by line would.  Either way the checks and their errors
-    are the same.  The body is decoded and labeled a labeling batch
+    as a byte block over the file's bytes.  Any other body is split into
+    lines and rejoined, each line ended by a newline: if that text is
+    regular (a CRLF body is), it is read as a block over the text, and
+    otherwise every line is decoded by ``graph6_decode`` and checked for
+    the level's order, in file order, so that the first bad line raises.
+    Either way the digest is taken over the body's lines, each ended by a
+    newline.  The body is decoded and labeled a labeling batch
     (``_label_spans``) at a time (``canonical_forms``), and the level's rows
     are decoded from its sorted keys (``LevelSet.from_keys``).
     """
@@ -238,23 +275,26 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
         body, rest = lines[7:7 + count], lines[7 + count:]
         if len(body) != count:
             raise IntegrityError(f"level file holds {len(body)} members, header says {count}")
-        actual = _body_digest(body)
+        hashed = "".join(line + "\n" for line in body).encode("ascii")
+        block = _regular_body(hashed, 0, order, count)
     else:
-        body, rest = block, data[start + block.size:].decode("ascii").splitlines()
-        actual = hashlib.sha256(block).hexdigest()
+        hashed, rest = block, data[start + block.size:].decode("ascii").splitlines()
     if not rest:
         raise IntegrityError("level file: missing digest footer")
     if not rest[0].startswith("digest sha256 "):
         raise IntegrityError("level file: malformed digest footer")
     if len(rest) > 1:
         raise IntegrityError(f"level file line {7 + count + 2}: data after digest footer")
-    expected = rest[0][len("digest sha256 "):]
+    actual, expected = hashlib.sha256(hashed).hexdigest(), rest[0][len("digest sha256 "):]
     if actual != expected:
         raise IntegrityError(f"level file digest mismatch: {actual} != {expected}")
 
     keys = []
     for span in _label_spans(count, order):
-        rows = _body_rows(body[span], order) if block is None else _graph6_rows(body[span], order)
+        if block is None:
+            rows = row_array([_member(line, order).adj for line in body[span]], order)
+        else:
+            rows = _graph6_rows(block[span], order)
         keys += canonical_forms(rows)
     keys.sort()
     for key, next_key in zip(keys, keys[1:]):
@@ -263,29 +303,12 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     return LevelSet.from_keys(order, keys), spec
 
 
-def _body_rows(lines: list[str], order: int) -> np.ndarray:
-    """The (lines x order) uint32 rows of body lines, in file order.
-
-    A ``_regular`` line of the graph6 width is decoded with the others in
-    one pass; every other line goes through ``graph6_decode`` and the order
-    check in file order, so the first bad line raises what decoding line by
-    line would.
-    """
-    width = _graph6_width(order)
-    sized = [at for at, line in enumerate(lines) if len(line) == width]
-    data = np.frombuffer("".join([lines[at] for at in sized]).encode("ascii"),
-                         dtype=np.uint8).reshape(len(sized), width)
-    fits = _regular(data, order)
-    fast = np.zeros(len(lines), dtype=bool)
-    fast[sized] = fits
-    rows = np.zeros((len(lines), order), dtype=np.uint32)
-    rows[fast] = _graph6_rows(data[fits], order)
-    for at in np.flatnonzero(~fast).tolist():
-        g = graph6_decode(lines[at])
-        if g.order != order:
-            raise IntegrityError(f"member of order {g.order} in a level of order {order}")
-        rows[at] = g.adj
-    return rows
+def _member(line: str, order: int) -> Graph:
+    """The graph of a body line, which must be of the level's order."""
+    g = graph6_decode(line)
+    if g.order != order:
+        raise IntegrityError(f"member of order {g.order} in a level of order {order}")
+    return g
 
 
 def level_filename(order: int) -> str:

@@ -12,15 +12,13 @@ Every codec between rows and bytes is table-driven: ``_bit_tables`` turns a
 bit permutation into one lookup table per source byte, and a batch is then
 encoded or decoded by one gather and one add per source byte
 (``_apply_tables``; the entries set disjoint bits, so their sum is their
-OR).  Three tables are built from it, lazily and cached per order:
-canonical key -> rows (``key_tables``), graph6 -> rows (``graph6_tables``)
-and rows -> graph6 (``row_tables``).
+OR).  No byte layout is defined here: each layout's tables are built by the
+module that encodes and validates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,7 +38,7 @@ VertexSet = int
 #: filter and the resume check, the (graphs x n x n) adjacency matrices of a
 #: chunk and the (levels x members x subsets x words) saturating counts and
 #: (members x subsets x words) edge gathers of its uint64 edge planes; the
-#: graph6 blocks of a level file's writer; and the (graphs x n(n-1)/2)
+#: line blocks of a level file's writer; and the (graphs x n(n-1)/2)
 #: gathers in which ``canon`` encodes leaves and the (graphs x n) uint64 keys
 #: it sorts to rank.  ``_spans`` chunks the set, pair, graph and subset axes
 #: to respect it.  One batch of graphs of order n is ``_BROADCAST_ELEMENTS // n**2`` of
@@ -177,18 +175,6 @@ def adjacency_matrices(rows: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, axis=2, count=n, bitorder="little").view(bool)
 
 
-@lru_cache(maxsize=None)
-def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The vertex pairs a < b of order n, by a and then by b, as two
-    read-only index arrays of their a and their b (``np.triu_indices(n, 1)``),
-    built once per order."""
-    vertices = np.arange(n)
-    pairs = np.nonzero(vertices[:, None] < vertices)
-    for side in pairs:
-        side.flags.writeable = False
-    return pairs
-
-
 def _bit_tables(unit: np.ndarray, shift: np.ndarray, word: np.ndarray, bit: np.ndarray,
                 unit_bits: int, dtype) -> tuple[tuple[int, int, np.ndarray], ...]:
     """The lookup tables of a bit permutation: source bit s, bit ``shift[s]``
@@ -229,57 +215,6 @@ def _row_sides(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.nd
     bits of both sides of pairs with a in ``first`` and b in ``second``, a's
     side first."""
     return np.concatenate([first, second]), np.concatenate([second, first])
-
-
-def _graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The vertex pairs a < b of order n in graph6 order, by b and then by
-    a, as index arrays of their a and their b."""
-    vertices = np.arange(n)
-    second, first = np.nonzero(vertices[:, None] > vertices)
-    return first, second
-
-
-# The three codecs of the package, built on first use.  A run decodes keys
-# one order at a time, and their tables take 1.1 MB at order 32, so only the
-# last order's are kept.  ``graph6_encode`` and ``graph6_decode`` take one
-# graph of any order, so that a caller may switch orders at every call; the
-# graph6 tables take at most 0.33 MB for one order and 6 MB for every order,
-# so every order's are kept.
-
-@lru_cache(maxsize=1)
-def key_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """Canonical key -> rows: key byte 1 + p // 8 holds pair p of
-    ``upper_pairs(n)`` at bit 7 - p % 8 (``canon``'s key layout)."""
-    first, second = upper_pairs(n)
-    byte, place = np.divmod(np.tile(np.arange(len(first)), 2), 8)
-    return _bit_tables(1 + byte, 7 - place, *_row_sides(first, second), 8, np.uint32)
-
-
-@lru_cache(maxsize=None)
-def graph6_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """graph6 -> rows: character 1 + s // 6, less 63, holds the graph6 pair
-    s at bit 5 - s % 6 (``formats``' codec)."""
-    first, second = _graph6_pairs(n)
-    char, place = np.divmod(np.tile(np.arange(len(first)), 2), 6)
-    return _bit_tables(1 + char, 5 - place, *_row_sides(first, second), 6, np.uint32)
-
-
-@lru_cache(maxsize=None)
-def row_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """Rows -> graph6: the source units are the bytes of the rows as
-    little-endian words of ``row_bytes(n)`` bytes, where row b holds pair
-    (a, b) at bit a; the target words are the line's characters, less 63
-    (``graph6_tables`` inverted)."""
-    first, second = _graph6_pairs(n)
-    byte, bit = np.divmod(first, 8)
-    char, place = np.divmod(np.arange(len(first)), 6)
-    return _bit_tables(second * row_bytes(n) + byte, bit, 1 + char, 5 - place, 8, np.uint8)
-
-
-def row_bytes(n: int) -> int:
-    """The bytes of one row word of order n in ``row_tables``: 4 up to
-    MAX_N, 8 past it (graph6 lines reach order 62)."""
-    return 4 if n <= MAX_N else 8
 
 
 def empty_graph(order: int) -> Graph:

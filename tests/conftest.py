@@ -9,7 +9,16 @@ from pathlib import Path
 import pytest
 
 import triramsey
-from triramsey import Graph, build_graph, validate_graph
+from triramsey import (
+    Graph,
+    ProblemSpec,
+    VertexSet,
+    add_vertex,
+    build_graph,
+    has_k_dense_set_containing,
+    has_k_sparse_set_containing,
+    validate_graph,
+)
 
 # Reference extremal graphs pinning isomorphism classes for the R-mode cells
 # (k=1, i=4): the unique order-9 extremal for j=6 and the two order-12
@@ -69,6 +78,22 @@ def random_triangle_free(rng: random.Random, n: int, tries: int = 3 * 32 * 32) -
     g = Graph(n, tuple(rows))
     validate_graph(g)
     return g
+
+
+def reject_extension_slow(g: Graph, spec: ProblemSpec, s: VertexSet) -> bool:
+    """Reference check for one extension, via the public search API only.
+
+    True when the child formed by attaching a new vertex to ``s`` contains
+    a forbidden set through that vertex.  Tests use this to pin the filter.
+    """
+    child = add_vertex(g, s)
+    v = g.order
+    if has_k_sparse_set_containing(child, v, spec.k, spec.j) is not None:
+        return True
+    if spec.i is not None:
+        if has_k_dense_set_containing(child, v, spec.k, spec.i) is not None:
+            return True
+    return False
 
 
 def random_permutation(rng: random.Random, n: int) -> list[int]:

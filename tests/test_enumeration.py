@@ -19,7 +19,6 @@ from triramsey import (
     canonical_form,
     cycle,
     decode_key,
-    extend_graph,
     find_forbidden_set,
     first_nonmember,
     independent_set_masks,
@@ -31,7 +30,7 @@ from triramsey import (
     verify_membership,
 )
 from triramsey import enumeration, formats
-from triramsey.enumeration import reject_extension_slow
+from triramsey.enumeration import surviving_extension_sets
 from triramsey.formats import read_level, write_level
 from triramsey.graphs import _label_spans, _spans, row_array
 from triramsey.oracle import (
@@ -41,7 +40,7 @@ from triramsey.oracle import (
     brute_membership,
 )
 
-from .conftest import random_graph, random_triangle_free, run_script
+from .conftest import random_graph, random_triangle_free, reject_extension_slow, run_script
 
 
 def test_problem_spec_validation():
@@ -75,14 +74,19 @@ def test_find_forbidden_set_kinds():
 
 
 def test_extend_graph_examples():
-    children = extend_graph(single_vertex(), ProblemSpec(k=1, j=3))
+    """One parent's surviving children: ``add_vertex`` on every set that
+    ``surviving_extension_sets`` returns."""
+    def extend(g, spec):
+        return [add_vertex(g, s) for s in surviving_extension_sets(g, spec)]
+
+    children = extend(single_vertex(), ProblemSpec(k=1, j=3))
     assert len(children) == 2
     for child in children:
         validate_graph(child)
         assert child.order == 2
 
-    assert extend_graph(cycle(4), ProblemSpec(k=1, j=3)) == []
-    assert extend_graph(cycle(5), ProblemSpec(k=1, j=4, i=4)) == []
+    assert extend(cycle(4), ProblemSpec(k=1, j=3)) == []
+    assert extend(cycle(5), ProblemSpec(k=1, j=4, i=4)) == []
 
 
 def test_level_step_examples():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 
@@ -29,9 +30,17 @@ from triramsey import (
 from triramsey import formats
 from triramsey.canon import canonical_forms
 from triramsey.enumeration import LevelSet
-from triramsey.formats import _body_digest, _body_rows, _graph6_block, render_report
+from triramsey.formats import _graph6_block, render_report
+from triramsey.graphs import row_array
 
 from .conftest import random_graph, random_permutation, random_triangle_free
+
+
+def _body_digest(lines: list[str]) -> str:
+    """The sha256 of the body lines, each ended by a newline: the digest a
+    level file's footer holds."""
+    body = "\n".join(lines) + "\n" if lines else ""
+    return hashlib.sha256(body.encode("ascii")).hexdigest()
 
 
 def test_graph6_fixed_values():
@@ -133,7 +142,6 @@ def test_graph6_batches_match_one_item_calls(seed, monkeypatch, tmp_path):
         rows = np.array([g.adj for g in graphs], dtype=np.uint64).reshape(len(graphs), n)
         block = _graph6_block(rows)
         assert block.tobytes().decode("ascii") == "".join(line + "\n" for line in lines)
-        assert _body_rows(lines, n).tolist() == [list(g.adj) for g in graphs]
         target = tmp_path / f"level-{n}.lvl"
         write_level(LevelSet(n, tuple((b"", g) for g in graphs)), spec, target)
         body = target.read_text().splitlines()[7:-1]
@@ -192,22 +200,26 @@ def test_write_level_matches_reference_writer(seed, monkeypatch, tmp_path):
 
 
 def test_crlf_level_file_reads_back(tmp_path, monkeypatch):
-    """A level file whose lines end in CRLF is no regular body: it is read
-    line by line, its digest taken over the lines, and it reads back equal
-    (as it did when every file was read line by line)."""
+    """A level file whose lines end in CRLF is no regular body as written,
+    but its lines, split and rejoined, are: it is decoded as one block with
+    no line through ``graph6_decode``, its digest taken over the lines, and
+    it reads back equal."""
     spec = ProblemSpec(k=2, j=7)
     level = level_at(spec, 8)
     target = tmp_path / "level.lvl"
     write_level(level, spec, target)
-    lined = []
-    body_rows = formats._body_rows
-    monkeypatch.setattr(formats, "_body_rows", lambda lines, order: lined.append(len(lines))
-                        or body_rows(lines, order))
+    blocks, decoded = [], []
+    regular_body, decode = formats._regular_body, formats.graph6_decode
+    monkeypatch.setattr(formats, "_regular_body", lambda *args: blocks.append(regular_body(*args))
+                        or blocks[-1])
+    monkeypatch.setattr(formats, "graph6_decode", lambda line: decoded.append(line) or decode(line))
     assert read_level(target) == (level, spec)
-    assert lined == []  # a regular body is read as a block
+    assert len(blocks) == 1 and blocks[0].shape[0] == len(level)  # the file's own bytes
     target.write_bytes(target.read_bytes().replace(b"\n", b"\r\n"))
+    blocks.clear()
     assert read_level(target) == (level, spec)
-    assert sum(lined) == len(level)
+    assert blocks[0] is None and blocks[1].shape[0] == len(level)
+    assert decoded == []
     rewritten = tmp_path / "rewritten.lvl"
     write_level(read_level(target)[0], spec, rewritten)
     assert rewritten.read_bytes() == reference_level_file(level, spec)
@@ -295,8 +307,6 @@ def test_truncated_file_detected(tmp_path):
 
 def test_wrong_order_member_detected(tmp_path):
     # hand-build a file whose member order disagrees with the header
-    from triramsey.formats import _body_digest
-
     target = tmp_path / "level.lvl"
     body = [graph6_encode(cycle(5))]
     lines = ["tfree-level 1", "k 1", "i -", "j 3", "order 4", "count 1", "begin"]
@@ -310,8 +320,6 @@ def test_wrong_order_member_detected(tmp_path):
 @pytest.mark.parametrize("order", [0, -2, MAX_N + 1])
 def test_order_out_of_range_detected(tmp_path, order):
     # an empty level with a consistent digest but an impossible order
-    from triramsey.formats import _body_digest
-
     target = tmp_path / "level.lvl"
     lines = ["tfree-level 1", "k 1", "i -", "j 3", f"order {order}", "count 0", "begin",
              f"digest sha256 {_body_digest([])}"]
@@ -322,8 +330,6 @@ def test_order_out_of_range_detected(tmp_path, order):
 
 def test_repeated_member_detected(tmp_path):
     # a consistent file (count and digest recomputed) that lists one class twice
-    from triramsey.formats import _body_digest
-
     spec = ProblemSpec(k=1, j=4)
     level = level_at(spec, 6)
     body = [graph6_encode(g) for g in level.graphs()]
@@ -511,6 +517,124 @@ def test_prefixed_and_padded_lines_accepted(tmp_path, monkeypatch):
     _with_body(target, spec, 7, body)
     loaded, _ = read_level(target)
     assert loaded == level
+
+
+def reference_read_level(source) -> tuple[LevelSet, ProblemSpec]:
+    """A level file read line by line, as its layout defines it: the body's
+    lines split from the text, every one through ``graph6_decode`` and the
+    order check in file order, the digest over the lines, and the members
+    labeled one array of rows at once.  Only the header parser is
+    ``read_level``'s."""
+    data = source.read_bytes()
+    if not data.isascii():
+        at = next(at for at, byte in enumerate(data) if byte > 127)
+        raise IntegrityError(f"level file: non-ASCII byte 0x{data[at]:02x} at byte offset {at}")
+    lines = data.decode("ascii").splitlines()
+    spec, order, count = formats._parse_header(lines[:7])
+    body, rest = lines[7:7 + count], lines[7 + count:]
+    if len(body) != count:
+        raise IntegrityError(f"level file holds {len(body)} members, header says {count}")
+    if not rest:
+        raise IntegrityError("level file: missing digest footer")
+    if not rest[0].startswith("digest sha256 "):
+        raise IntegrityError("level file: malformed digest footer")
+    if len(rest) > 1:
+        raise IntegrityError(f"level file line {7 + count + 2}: data after digest footer")
+    actual, expected = _body_digest(body), rest[0][len("digest sha256 "):]
+    if actual != expected:
+        raise IntegrityError(f"level file digest mismatch: {actual} != {expected}")
+    graphs = []
+    for line in body:
+        g = graph6_decode(line)
+        if g.order != order:
+            raise IntegrityError(f"member of order {g.order} in a level of order {order}")
+        graphs.append(g)
+    keys = sorted(canonical_forms(row_array([g.adj for g in graphs], order)))
+    if len(set(keys)) < len(keys):
+        raise IntegrityError("level file repeats an isomorphism class")
+    return LevelSet.from_keys(order, keys), spec
+
+
+def _outcome(read, source):
+    try:
+        return read(source)
+    except (CapacityError, DecodeError, IntegrityError) as exc:
+        return type(exc), str(exc)
+
+
+def _mutated_body(rng: random.Random, lines: list[str], graphs: list[Graph]) -> list[str]:
+    """One to three seeded edits of a level body's lines: characters set,
+    inserted or deleted (line breaks and whitespace among them), lines
+    dropped, repeated, swapped, prefixed, padded, or replaced by a relabeled
+    member or a graph of another order."""
+    lines = list(lines)
+    alphabet = [chr(c) for c in range(63, 127)] + [" ", "\t", "\r", "\x0b", "\n", "!", "~"]
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        at = rng.randrange(len(lines))
+        line = lines[at]
+        place = rng.randrange(len(line) + 1)
+        edit = rng.randrange(10)
+        if edit == 0 and place < len(line):
+            lines[at] = line[:place] + rng.choice(alphabet) + line[place + 1:]
+        elif edit == 1:
+            lines[at] = line[:place] + rng.choice(alphabet) + line[place:]
+        elif edit == 2 and place < len(line):
+            lines[at] = line[:place] + line[place + 1:]
+        elif edit == 3:
+            del lines[at]
+        elif edit == 4:
+            lines.insert(rng.randrange(len(lines) + 1), line)
+        elif edit == 5:
+            other = rng.randrange(len(lines))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif edit == 6:
+            lines[at] = ">>graph6<<" + line
+        elif edit == 7:
+            lines[at] = rng.choice([" ", "\t", ""]) + line + rng.choice([" ", "\t", "\r"])
+        elif edit == 8:
+            g = rng.choice(graphs)
+            lines[at] = graph6_encode(permute(g, random_permutation(rng, g.order)))
+        else:
+            lines[at] = graph6_encode(random_graph(rng, rng.choice([1, 7, 9, 32])))
+    return lines
+
+
+def test_read_level_matches_line_by_line_reference(tmp_path):
+    """``read_level`` against ``reference_read_level`` on 400 seeded
+    mutations of T_1(5)'s 30-member order-8 level: 300 body edits with the
+    count (mostly) and the digest recomputed over the lines a reader sees,
+    a third of them with CRLF line ends, and 100 raw byte edits of the
+    file.  Both must give the same level or the same error and message."""
+    rng = random.Random(24)
+    spec = ProblemSpec(k=1, j=5)
+    level = level_at(spec, 8)
+    graphs = level.graphs()
+    lines = [graph6_encode(g) for g in graphs]
+    original = tmp_path / "level.lvl"
+    write_level(level, spec, original)
+    target = tmp_path / "mutated.lvl"
+    outcomes = []
+    for trial in range(400):
+        if trial < 300:
+            body = _mutated_body(rng, lines, graphs)
+            seen = ("\n".join(body) + "\n").splitlines() if body else []
+            count = len(seen) if rng.random() < 0.8 else len(lines)
+            text = "\n".join(["tfree-level 1", "k 1", "i -", "j 5", "order 8", f"count {count}",
+                              "begin", *body, f"digest sha256 {_body_digest(seen)}"]) + "\n"
+            if rng.random() < 1 / 3:
+                text = text.replace("\n", "\r\n")
+            target.write_bytes(text.encode("ascii"))
+        else:
+            data = bytearray(original.read_bytes())
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(len(data))] = rng.choice(b"?@_~ \t\r\n!0")
+            target.write_bytes(bytes(data))
+        outcome = _outcome(read_level, target)
+        assert outcome == _outcome(reference_read_level, target), trial
+        outcomes.append(outcome[0] if isinstance(outcome[0], type) else LevelSet)
+    assert {LevelSet, IntegrityError, DecodeError, CapacityError} <= set(outcomes)
 
 
 def test_render_report_shape():

@@ -25,12 +25,11 @@ from triramsey import (
 from triramsey.enumeration import (
     _extend_entries,
     _sparse_sets,
-    reject_extension_slow,
     surviving_extension_sets,
 )
 from triramsey.graphs import row_array
 
-from .conftest import random_triangle_free
+from .conftest import random_triangle_free, reject_extension_slow
 
 
 @pytest.mark.parametrize("seed", range(10))
