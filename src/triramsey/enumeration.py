@@ -12,15 +12,15 @@ the argument): pick a vertex w of a next-level class G' that
 maximizes the pair; an isomorphism p maps G' - w onto a stored parent P,
 and P + p(N(w)) is G' with w as the new vertex; moving that set to its
 twin-prefix form is an automorphism of P, so it keeps every vertex's pair.
-A level is its sorted keys plus the (members x n) rows of the canonically
-labeled members, so levels are byte-stable regardless of worker count or
-merge order: a child travels as its key alone, and ``LevelSet.from_keys``
-decodes each class once from it, a labeling batch of keys at a time.  A
-step cuts the rows into runs of consecutive parents, one task each: the
-fewest runs of at most as many parents as one batch holds graphs of their
-order, of near-equal lengths (``_spans(parents, n * n)``), so at most
-2**16 // n**2 parents at the default ``graphs._BROADCAST_ELEMENTS`` (1,024
-at order 8, 541 at order 11, 291 at order 15).  A labeling batch is wider:
+A level is the (members x n) rows of its canonically labeled members in
+key order, so levels are byte-stable regardless of worker count or merge
+order: a child travels as its key alone, and ``LevelSet.from_keys`` decodes
+each class once from it, a labeling batch of keys at a time.  A step cuts
+the rows into runs of consecutive parents, one task each: the fewest runs
+of at most as many parents as one batch holds graphs of their order, of
+near-equal lengths (``_spans(parents, n * n)``), so at most 2**16 // n**2
+parents at the default ``graphs._BROADCAST_ELEMENTS`` (1,024 at order 8,
+541 at order 11, 291 at order 15).  A labeling batch is wider:
 ``graphs._LABEL_BATCHES`` (four) batches of graphs of its order
 (``graphs._label_spans``), in which children, keys and read-back members
 are labeled and decoded.
@@ -105,40 +105,39 @@ class ProblemSpec:
 
 
 class LevelSet:
-    """One enumeration level: the sorted canonical keys of its members, all
-    of one order, and one read-only (members x order) uint32 array whose row
-    x is the graph of ``keys[x]``.  ``LevelSet(order, members)`` takes
-    ``(key, Graph)`` pairs; ``members`` and ``graphs()`` rebuild them."""
+    """One enumeration level: the read-only (members x order) uint32 rows of
+    its canonically labeled members in key order.  ``LevelSet(order, pairs)``
+    reads only the graphs of ``(key, Graph)`` pairs; ``members`` labels the
+    rows again into such pairs, and ``graphs()`` rebuilds the graphs."""
 
     def __init__(self, order: int, members: Iterable[tuple[CanonKey, Graph]] = ()):
-        members = tuple(members)
-        self.order, self.keys = order, tuple(key for key, _ in members)
+        self.order = order
         self.rows = row_array([g.adj for _, g in members], order)
         self.rows.flags.writeable = False
 
     @classmethod
     def from_keys(cls, order: int, keys: Sequence[CanonKey]) -> LevelSet:
         """The level of sorted canonical keys of one order, decoded a labeling
-        batch (``_label_spans``) at a time."""
+        batch (``_label_spans``) at a time; the keys are not kept."""
         level = cls(order)
-        level.keys, level.rows = tuple(keys), np.empty((len(keys), order), dtype=np.uint32)
+        level.rows = np.empty((len(keys), order), dtype=np.uint32)
         for span in _label_spans(len(keys), order):
-            level.rows[span] = decode_keys(level.keys[span])
+            level.rows[span] = decode_keys(keys[span])
         level.rows.flags.writeable = False
         return level
 
     @property
     def members(self) -> tuple[tuple[CanonKey, Graph], ...]:
-        return tuple(zip(self.keys, self.graphs()))
+        return tuple(zip(canonical_forms(self.rows), self.graphs()))
 
     def graphs(self) -> list[Graph]:
         return [Graph(self.order, tuple(row)) for row in self.rows.tolist()]
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.rows)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LevelSet) and (self.order, self.keys) == (other.order, other.keys)
+        return (isinstance(other, LevelSet) and self.order == other.order
                 and np.array_equal(self.rows, other.rows))
 
 
@@ -462,9 +461,9 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
     cost once per batch rather than once per few parents, and no worker
     waits on a long task while another has a short remainder.  Output is
     identical for any mapper and any cut: tasks return only the canonical
-    keys of the children, the merge is a set of keys, and
-    ``LevelSet.from_keys`` decodes each class once from its key at the end.
-    ``max_cardinality`` is checked after each task.
+    keys of the children, the merge is a set of keys, freed once they are
+    sorted, and ``LevelSet.from_keys`` decodes each class once from its key
+    at the end.  ``max_cardinality`` is checked after each task.
     """
     next_order = level.order + 1
     tasks = [level.rows[span] for span in _spans(len(level), level.order ** 2)]
@@ -473,4 +472,6 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
         merged.update(keys)
         if max_cardinality is not None and len(merged) > max_cardinality:
             raise LevelCardinalityExceeded(next_order, max_cardinality)
-    return LevelSet.from_keys(next_order, sorted(merged))
+    keys = sorted(merged)
+    del merged
+    return LevelSet.from_keys(next_order, keys)

@@ -16,13 +16,13 @@ implementation each, a table-driven numpy kernel (``graph6_tables``,
 array of adjacency rows and a (graphs x characters) uint8 block of lines;
 ``graph6_encode`` and ``graph6_decode`` validate one graph or line and call
 it on a batch of one.  Level bodies move as such blocks, never as one
-string per member: ``write_level`` encodes a level's rows a chunk at a time
-and streams each block to the file and the digest, and ``read_level`` views
-a regular body as one block (``_regular_body``), decodes and labels it a
-labeling batch (``graphs._label_spans``) at a time and leaves the level's
-rows to ``LevelSet.from_keys``.  A body is decoded in one of two ways only:
-as a block, or, when it is not regular even once its lines are split and
-rejoined, line by line through ``graph6_decode``.
+string per member: ``write_level`` streams a level's rows to the file and
+the digest a chunk at a time, and ``read_level`` decodes and labels a body
+as one block (``_regular_body``), a labeling batch (``graphs._label_spans``)
+at a time, and leaves the level's rows to ``LevelSet.from_keys``.  A body
+irregular as written (CRLF, ``>>graph6<<`` headers, padded lines) is split,
+normalized (``_graph6_text``) and rejoined first; if it is still irregular,
+``graph6_decode`` reports its first bad line.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .graphs import (
     _label_spans,
     _row_sides,
     _spans,
-    row_array,
 )
 
 _LEVEL_MAGIC = "tfree-level 1"
@@ -138,10 +137,13 @@ def _regular(data: np.ndarray, n: int) -> np.ndarray:
             & ((values[:, -1] & padding) == 0))
 
 
+def _graph6_text(line: str) -> str:
+    """A line's graph6 characters: the line stripped, less one leading ``>>graph6<<``."""
+    return line.strip().removeprefix(">>graph6<<")
+
+
 def graph6_decode(line: str) -> Graph:
-    s = line.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+    s = _graph6_text(line)
     if not s:
         raise DecodeError("empty graph6 line", offset=0)
     if not (s.isascii() and "?" <= min(s) and max(s) <= "~"):
@@ -199,7 +201,8 @@ def write_level(level: LevelSet, spec: ProblemSpec, destination) -> None:
     os.replace(tmp, path)
 
 
-def _parse_header_int(lines: list[str], index: int, name: str) -> int:
+def _parse_header_int(lines: list[str], index: int, name: str, low: int,
+                      high: int | None = None) -> int:
     try:
         tag, value = lines[index].split(" ", 1)
     except (ValueError, IndexError):
@@ -207,9 +210,13 @@ def _parse_header_int(lines: list[str], index: int, name: str) -> int:
     if tag != name:
         raise IntegrityError(f"level file line {index + 1}: expected '{name}', found '{tag}'")
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise IntegrityError(f"level file line {index + 1}: bad {name} value {value!r}")
+    if number < low or high is not None and number > high:
+        raise IntegrityError(f"level file line {index + 1}: {name} {number} "
+                             f"outside {low}..{high or ''}")
+    return number
 
 
 def _parse_header(lines: list[str]) -> tuple[ProblemSpec, int, int]:
@@ -218,13 +225,11 @@ def _parse_header(lines: list[str]) -> tuple[ProblemSpec, int, int]:
         raise IntegrityError(f"not a level file: missing '{_LEVEL_MAGIC}' header")
     if len(lines) < 7:
         raise IntegrityError("level file: incomplete header")
-    k = _parse_header_int(lines, 1, "k")
-    i = None if lines[2] == "i -" else _parse_header_int(lines, 2, "i")
-    j = _parse_header_int(lines, 3, "j")
-    order = _parse_header_int(lines, 4, "order")
-    if not 1 <= order <= MAX_N:
-        raise IntegrityError(f"level file line 5: order {order} outside 1..{MAX_N}")
-    count = _parse_header_int(lines, 5, "count")
+    k = _parse_header_int(lines, 1, "k", 0)
+    i = None if lines[2] == "i -" else _parse_header_int(lines, 2, "i", 2)
+    j = _parse_header_int(lines, 3, "j", 2)
+    order = _parse_header_int(lines, 4, "order", 1, MAX_N)
+    count = _parse_header_int(lines, 5, "count", 0)
     if lines[6] != "begin":
         raise IntegrityError("level file line 7: missing 'begin' marker")
     return ProblemSpec(k=k, j=j, i=i), order, count
@@ -250,14 +255,14 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
 
     A regular body (``_regular_body``: what ``write_level`` writes) is read
     as a byte block over the file's bytes.  Any other body is split into
-    lines and rejoined, each line ended by a newline: if that text is
-    regular (a CRLF body is), it is read as a block over the text, and
-    otherwise every line is decoded by ``graph6_decode`` and checked for
-    the level's order, in file order, so that the first bad line raises.
-    Either way the digest is taken over the body's lines, each ended by a
-    newline.  The body is decoded and labeled a labeling batch
-    (``_label_spans``) at a time (``canonical_forms``), and the level's rows
-    are decoded from its sorted keys (``LevelSet.from_keys``).
+    lines, hashed as they are and read as a block over their normalized
+    (``_graph6_text``) text, each line ended by a newline, if that is
+    regular (a CRLF, prefixed or padded body is).  If not, the lines go
+    through ``graph6_decode`` and the order check in file order, after the
+    digest check, so that the first bad line raises.  The block is decoded
+    and labeled a labeling batch (``_label_spans``) at a time
+    (``canonical_forms``), and the level's rows are decoded from its sorted
+    keys (``LevelSet.from_keys``).
     """
     data = Path(source).read_bytes()
     if not data.isascii():
@@ -276,7 +281,8 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
         if len(body) != count:
             raise IntegrityError(f"level file holds {len(body)} members, header says {count}")
         hashed = "".join(line + "\n" for line in body).encode("ascii")
-        block = _regular_body(hashed, 0, order, count)
+        text = "".join(_graph6_text(line) + "\n" for line in body).encode("ascii")
+        block = _regular_body(text, 0, order, count)
     else:
         hashed, rest = block, data[start + block.size:].decode("ascii").splitlines()
     if not rest:
@@ -288,27 +294,17 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     actual, expected = hashlib.sha256(hashed).hexdigest(), rest[0][len("digest sha256 "):]
     if actual != expected:
         raise IntegrityError(f"level file digest mismatch: {actual} != {expected}")
+    if block is None:  # some line is bad; the first raises
+        for g in map(graph6_decode, body):
+            if g.order != order:
+                raise IntegrityError(f"member of order {g.order} in a level of order {order}")
 
-    keys = []
-    for span in _label_spans(count, order):
-        if block is None:
-            rows = row_array([_member(line, order).adj for line in body[span]], order)
-        else:
-            rows = _graph6_rows(block[span], order)
-        keys += canonical_forms(rows)
-    keys.sort()
+    keys = sorted(key for span in _label_spans(count, order)
+                  for key in canonical_forms(_graph6_rows(block[span], order)))
     for key, next_key in zip(keys, keys[1:]):
         if key == next_key:
             raise IntegrityError("level file repeats an isomorphism class")
     return LevelSet.from_keys(order, keys), spec
-
-
-def _member(line: str, order: int) -> Graph:
-    """The graph of a body line, which must be of the level's order."""
-    g = graph6_decode(line)
-    if g.order != order:
-        raise IntegrityError(f"member of order {g.order} in a level of order {order}")
-    return g
 
 
 def level_filename(order: int) -> str:

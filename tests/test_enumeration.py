@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import random
 import textwrap
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,28 @@ def test_level_step_decodes_in_chunks(monkeypatch, bound):
     chunked = level_at(spec, 8)
     assert chunked == whole and next(_label_spans(len(chunked), 8)).stop < len(chunked)
     assert all(g == decode_key(key) for key, g in chunked.members)
+
+
+T_1_7_LEVEL_11 = Path(__file__).resolve().parents[1] / "perfbench/fixtures/t1_7-level-11.lvl"
+
+
+def test_level_holds_its_rows_only():
+    """A level keeps no per-member Python object: decoded from the pinned
+    31,011 order-11 keys of T_1(7), with the caller's key list deleted, it
+    holds its rows and a few KB more by tracemalloc."""
+    keys = [key for key, _ in read_level(T_1_7_LEVEL_11)[0].members]
+    assert len(keys) == 31011
+    LevelSet.from_keys(11, keys[:1])  # fills the caches of the first call
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        level = LevelSet.from_keys(11, keys)
+        del keys
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held - level.rows.nbytes < 8192, held - level.rows.nbytes
+    assert not hasattr(level, "keys")
 
 
 def test_level_rows_are_read_only():

@@ -199,11 +199,13 @@ def test_write_level_matches_reference_writer(seed, monkeypatch, tmp_path):
         assert target.read_bytes() == reference_level_file(level, spec), level.order
 
 
-def test_crlf_level_file_reads_back(tmp_path, monkeypatch):
-    """A level file whose lines end in CRLF is no regular body as written,
-    but its lines, split and rejoined, are: it is decoded as one block with
-    no line through ``graph6_decode``, its digest taken over the lines, and
-    it reads back equal."""
+@pytest.mark.parametrize("variant", ["crlf", "prefixed", "padded"])
+def test_crlf_level_file_reads_back(tmp_path, monkeypatch, variant):
+    """A level file whose lines end in CRLF, or whose body lines carry a
+    ``>>graph6<<`` header or trailing whitespace (the digest taken over the
+    lines as written), is no regular body as written, but its lines, split,
+    normalized and rejoined, are: it is decoded as one block with no line
+    through ``graph6_decode``, and it reads back equal."""
     spec = ProblemSpec(k=2, j=7)
     level = level_at(spec, 8)
     target = tmp_path / "level.lvl"
@@ -215,7 +217,11 @@ def test_crlf_level_file_reads_back(tmp_path, monkeypatch):
     monkeypatch.setattr(formats, "graph6_decode", lambda line: decoded.append(line) or decode(line))
     assert read_level(target) == (level, spec)
     assert len(blocks) == 1 and blocks[0].shape[0] == len(level)  # the file's own bytes
-    target.write_bytes(target.read_bytes().replace(b"\n", b"\r\n"))
+    if variant == "crlf":
+        target.write_bytes(target.read_bytes().replace(b"\n", b"\r\n"))
+    else:
+        line = {"prefixed": ">>graph6<<{}", "padded": "{} \t"}[variant]
+        _with_body(target, spec, 8, [line.format(graph6_encode(g)) for g in level.graphs()])
     blocks.clear()
     assert read_level(target) == (level, spec)
     assert blocks[0] is None and blocks[1].shape[0] == len(level)
@@ -254,10 +260,11 @@ def test_empty_level_round_trip(tmp_path):
     assert loaded.order == 5 and len(loaded) == 0
 
 
-def test_read_level_holds_keys_and_rows_only(tmp_path):
-    """A level read back holds its keys and one uint32 row array, no graph
-    objects: T_1(7)'s 1,511 order-9 classes take under 150 bytes each by
-    tracemalloc, where (key, Graph) pairs took about 220."""
+def test_read_level_holds_rows_only(tmp_path):
+    """A level read back holds one uint32 row array and no key or graph
+    object: T_1(7)'s 1,511 order-9 classes take their 36 bytes of rows each
+    and a few KB more by tracemalloc, where keys beside the rows took about
+    85 bytes a class and (key, Graph) pairs about 220."""
     spec = ProblemSpec(k=1, j=7)
     target = tmp_path / "level-09.lvl"
     write_level(level_at(spec, 9), spec, target)
@@ -270,7 +277,7 @@ def test_read_level_holds_keys_and_rows_only(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(level) == 1511
-    assert held / len(level) < 150, held / len(level)
+    assert held - level.rows.nbytes < 8192, held - level.rows.nbytes
 
 
 def test_body_digest_pins():
@@ -326,6 +333,25 @@ def test_order_out_of_range_detected(tmp_path, order):
     target.write_text("\n".join(lines) + "\n")
     with pytest.raises(IntegrityError, match="order"):
         read_level(target)
+
+
+@pytest.mark.parametrize("line, value, message", [
+    (1, "k -1", "level file line 2: k -1 outside 0.."),
+    (2, "i 0", "level file line 3: i 0 outside 2.."),
+    (3, "j 1", "level file line 4: j 1 outside 2.."),
+    (5, "count -1", "level file line 6: count -1 outside 0.."),
+], ids=["k", "i", "j", "count"])
+def test_header_field_out_of_range_detected(tmp_path, line, value, message):
+    # Each field's bound is checked where the header is read, as the order's is.
+    spec = ProblemSpec(k=1, j=3)
+    target = tmp_path / "level.lvl"
+    write_level(level_at(spec, 4), spec, target)
+    lines = target.read_text().splitlines()
+    lines[line] = value
+    target.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IntegrityError) as info:
+        read_level(target)
+    assert str(info.value) == message
 
 
 def test_repeated_member_detected(tmp_path):
@@ -453,6 +479,8 @@ LATE_EDITS = {
     "prefixed-bad": ([(66, ">>graph6<<F?!??")], DecodeError,
                      "character '!' outside graph6 range 63..126 (byte offset 2)"),
     "prefix-only": ([(66, ">>graph6<<")], DecodeError, "empty graph6 line (byte offset 0)"),
+    "space-after-prefix": ([(66, ">>graph6<< F????")], DecodeError,
+                           "character ' ' outside graph6 range 63..126 (byte offset 0)"),
     "first-of-two": ([(30, "Dhc"), (60, "F?!??")], IntegrityError,
                      "member of order 5 in a level of order 7"),
     "second-of-two": ([(30, "F?!??"), (60, "Dhc")], DecodeError,
