@@ -7,7 +7,7 @@ when they are isomorphic, and keys compare as plain byte strings, which gives
 the total order used for deduplication and stable file output.  The key is
 the whole class: ``decode_key`` rebuilds the canonically labeled
 representative from it, so no relabeled graph is ever carried beside a key.
-The layout has one home, this module: ``_encode_rows`` writes it,
+The layout has one home, this module: ``_leaf_keys`` writes it,
 ``decode_key`` validates it, and ``decode_keys`` gives the rows of a chunk
 of keys, adding one ``key_tables`` entry per key byte; a level's rows are
 decoded with it, once, by ``enumeration.LevelSet.from_keys``.
@@ -23,16 +23,16 @@ corresponding trees; the candidate labeling with the smallest encoded key
 wins.
 
 ``canonical_forms`` is the only labeling, of a whole array of same-order
-graphs: it runs the root refinement for all of them in numpy, encodes the
-single leaf of every graph whose root cells are its twin classes, and
-searches the rest from the root cells it already has, breadth first, every
-open search node of every graph refined in the same numpy rounds as the
-roots (``_refine_cells``).  ``canonical_form`` labels a batch of one.  A
-round ranks each graph's vertices by one in-place sort of uint64 keys
-tagged with their vertex (``_rank``).  The per-vertex temporaries (cells,
-first twins, twin counts, ranks) are uint8, as every such value is at most
-n <= MAX_N, so that a call of a labeling batch (``graphs._label_spans``)
-holds little more than one batch did in int64.
+graphs, and holds the only search loop: breadth first from the root
+refinement of all of them, every open search node of every graph refined in
+the same numpy rounds as the roots (``_refine_cells``), and the roots and
+every refined batch of nodes passed through one step that encodes the
+leaves and keeps the rest for the next round.  ``canonical_form`` labels a
+batch of one.  A round ranks each graph's vertices by one in-place sort of
+uint64 keys tagged with their vertex (``_rank``).  The per-vertex
+temporaries (cells, first twins, twin counts, ranks) are uint8, as every
+such value is at most n <= MAX_N, so that a call of a labeling batch
+(``graphs._label_spans``) holds little more than one batch did in int64.
 """
 
 from __future__ import annotations
@@ -81,83 +81,46 @@ def key_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     return _bit_tables(1 + byte, 7 - place, *_row_sides(first, second), 8, np.uint32)
 
 
-def _encode_rows(rows: np.ndarray, orders: np.ndarray) -> list[CanonKey]:
-    """The key of every graph of a (graphs x n) row array relabeled so that
-    ``orders[g, a]`` becomes vertex a of ``rows[g]``."""
-    m, n = rows.shape
-    first, second = upper_pairs(n)
-    # Pair (a, b) is an edge when row orders[g, a] holds orders[g, b]: one
-    # (graphs x pairs) array, shifted and masked in place.
-    bits = np.take_along_axis(rows, orders, axis=1)[:, first]
-    bits >>= orders.astype(np.uint8)[:, second]
-    bits &= 1
-    body = np.packbits(bits, axis=1)
-    blob = np.hstack([np.full((m, 1), n, dtype=np.uint8), body]).tobytes()
-    width = 1 + body.shape[1]
-    return [blob[at:at + width] for at in range(0, len(blob), width)]
-
-
 def canonical_form(g: Graph) -> CanonKey:
     """Relabeling-invariant key; equal keys <=> isomorphic graphs (``canonical_forms`` of one)."""
     return canonical_forms(row_array([g.adj], g.order))[0]
 
 
 def canonical_forms(rows: np.ndarray) -> list[CanonKey]:
-    """The key of every graph of a (graphs x n) uint32 row array.
-
-    The root refinement runs for all graphs at once (``_root_cells``).  A
-    graph whose root cells are its twin classes has a single leaf, so its
-    key is that leaf's (``_leaf_keys``); every other graph is searched from
-    its root cells, all of them together (``_smallest_leaves``).
-    """
-    cells, first, leaf = _root_cells(rows)
-    keys: list[CanonKey] = [b""] * len(rows)
-    single = np.flatnonzero(leaf)
-    for g, key in zip(single.tolist(), _leaf_keys(rows[single], cells[single])):
-        keys[g] = key
-    searched = np.flatnonzero(~leaf)
-    for g, key in zip(searched.tolist(),
-                      _smallest_leaves(rows[searched], cells[searched], first[searched])):
-        keys[g] = key
-    return keys
-
-
-def _leaf_keys(rows: np.ndarray, cells: np.ndarray) -> list[CanonKey]:
-    """The key of each leaf: ``rows[x]`` relabeled cell by cell of
-    ``cells[x]``, each twin class in ascending vertex order.  Leaves are
-    encoded one batch (``_spans``) at a time, which keeps the gathers of
-    ``_encode_rows`` as small inside a wide labeling batch as in one batch."""
-    keys: list[CanonKey] = []
-    for at in _spans(len(rows), rows.shape[1] ** 2):
-        keys += _encode_rows(rows[at], np.argsort(cells[at], axis=1, kind="stable"))
-    return keys
-
-
-def _smallest_leaves(rows: np.ndarray, cells: np.ndarray, first: np.ndarray) -> list[CanonKey]:
-    """The smallest leaf key of every graph of a (graphs x n) uint32 row
-    array, searched from its equitable cells (each vertex's cell, numbered in
-    partition order, as ``_root_cells`` gives them, with each vertex's first
-    twin).
+    """The key of every graph of a (graphs x n) uint32 row array: its
+    smallest leaf key, searched from its equitable root cells
+    (``_root_cells``), the roots of all graphs at once.
 
     The search tree is walked breadth first, one level of every graph's
     tree at a time: the frontier holds every open node of every graph, as
     pieces of (graph, cells, cell count).  A round takes the frontier a
-    labeling batch of nodes (``_label_spans``) at a time: it individualizes
-    each node (``_individualize``), refines the children together
-    (``_refine_cells``), again a labeling batch at a time, and encodes every
-    child whose cells are its twin classes, a leaf, keeping each graph's
-    smallest key; the other children are a piece of the next frontier.  So
-    no temporary of a round grows with the frontier, which a graph with a
-    large automorphism group makes far wider than a batch.  The smallest key
-    over all leaves does not depend on the order in which they are
+    labeling batch of nodes (``_label_spans``) at a time, individualizes
+    each node (``_individualize``) and refines the children together
+    (``_refine_cells``), again a labeling batch at a time.  The roots, and
+    the refined children of each batch of nodes, go through one step: a
+    node whose cells are its twin classes is a leaf, encoded (``_leaf_keys``)
+    and kept if it is its graph's smallest key so far; the others are one
+    piece of the next frontier.  So no leaf is held in the frontier, and no
+    temporary of a round grows with the frontier, which a graph with a
+    large automorphism group makes far wider than a batch.  The smallest
+    key over all leaves does not depend on the order in which they are
     visited.
     """
     m, n = rows.shape
-    if not m:
-        return []
-    classes = (first == np.arange(n)).view(np.uint8).sum(axis=1, dtype=np.uint8)
+    cells, first, count, classes = _root_cells(rows)
     best: list[CanonKey | None] = [None] * m
-    frontier = [(np.arange(m), cells, cells.max(axis=1) + 1)]
+    frontier: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def step(graph: np.ndarray, cells: np.ndarray, count: np.ndarray) -> None:
+        leaf = count == classes[graph]
+        found = graph[leaf]
+        for g, key in zip(found.tolist(), _leaf_keys(rows[found], cells[leaf])):
+            if best[g] is None or key < best[g]:
+                best[g] = key
+        if not leaf.all():
+            frontier.append((graph[~leaf], cells[~leaf], count[~leaf]))
+
+    step(np.arange(m), cells, count)
     while frontier:
         opened, frontier = frontier, []
         for graph, cells, count in opened:
@@ -166,14 +129,30 @@ def _smallest_leaves(rows: np.ndarray, cells: np.ndarray, first: np.ndarray) -> 
                 child, below = graph[span][parent], count[span][parent] + 1
                 for at in _label_spans(child.size, n):
                     _refine_cells(rows[child[at]], children[at], below[at], classes[child[at]])
-                leaf = below == classes[child]
-                found = child[leaf]
-                for g, key in zip(found.tolist(), _leaf_keys(rows[found], children[leaf])):
-                    if best[g] is None or key < best[g]:
-                        best[g] = key
-                if not leaf.all():
-                    frontier.append((child[~leaf], children[~leaf], below[~leaf]))
+                step(child, children, below)
     return best
+
+
+def _leaf_keys(rows: np.ndarray, cells: np.ndarray) -> list[CanonKey]:
+    """The key of each leaf: ``rows[x]`` relabeled cell by cell of
+    ``cells[x]``, each twin class in ascending vertex order.  Leaves are
+    encoded one batch (``_spans``) at a time, which keeps the gathers as
+    small inside a wide labeling batch as in one batch."""
+    m, n = rows.shape
+    first, second = upper_pairs(n)
+    keys: list[CanonKey] = []
+    for at in _spans(m, n * n):
+        # Vertex a of leaf x is orders[x, a]; pair (a, b) is an edge when its
+        # row holds orders[x, b]: one (leaves x pairs) array, masked in place.
+        orders = np.argsort(cells[at], axis=1, kind="stable")
+        bits = np.take_along_axis(rows[at], orders, axis=1)[:, first]
+        bits >>= orders.astype(np.uint8)[:, second]
+        bits &= 1
+        body = np.packbits(bits, axis=1)
+        blob = np.hstack([np.full((len(body), 1), n, dtype=np.uint8), body]).tobytes()
+        width = 1 + body.shape[1]
+        keys += [blob[x:x + width] for x in range(0, len(blob), width)]
+    return keys
 
 
 def _individualize(cells: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,26 +176,27 @@ def _individualize(cells: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np
     return parent, children
 
 
-def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The root refinement for every graph of a (graphs x n) uint32 row
     array, in vertex space: each vertex's cell index (graphs x n uint8,
     cells numbered in partition order), each vertex's first twin (graphs x n
-    uint8), and whether the cells are exactly the twin classes.
+    uint8), and the number of cells and of twin classes of each graph
+    (uint8).
 
     The root partition is the twin quotient's class-size partition, refined
     by ``_refine_cells``.
     """
     m, n = rows.shape
     if not n:
-        empty = np.zeros((m, 0), dtype=np.uint8)
-        return empty, empty, np.ones(m, dtype=bool)
+        empty, zero = np.zeros((m, 0), dtype=np.uint8), np.zeros(m, dtype=np.uint8)
+        return empty, empty, zero, zero
     twins = rows[:, :, None] == rows[:, None, :]
     first, sizes = twins.argmax(axis=2).astype(np.uint8), twins.view(np.uint8).sum(axis=2, dtype=np.uint8)
     del twins  # the call's largest array: not held through the refinement
     # A vertex opens its class when its first twin is itself.
     classes = (first == np.arange(n)).view(np.uint8).sum(axis=1, dtype=np.uint8)
     cells, count = _refine_cells(rows, *_rank(sizes.astype(np.uint64)), classes)
-    return cells, first, count == classes
+    return cells, first, count, classes
 
 
 def _refine_cells(rows: np.ndarray, cells: np.ndarray, count: np.ndarray,

@@ -330,7 +330,7 @@ def _attachment_sets(rows: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, n
     """The surviving attachment sets of every parent of a (parents x n)
     uint32 row array, in twin-prefix form, whose new vertex maximizes
     (degree, neighbour-degree sum) in the child: flat arrays of owners (row
-    indices) and sets, sorted by (owner, set).
+    indices) and sets, in no fixed order.
 
     Two rules choose the attachment sets s of each parent g before the filter:
 
@@ -404,8 +404,7 @@ def _attachment_sets(rows: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, n
         full = np.uint32((1 << n) - 1)
         keep = ~_completes(rows ^ (full ^ bits), owner, full ^ sets, spec.k, spec.i - 1)
         owner, sets = owner[keep], sets[keep]
-    order = np.lexsort((sets, owner))
-    return owner[order], sets[order]
+    return owner, sets
 
 
 def _child_rows(rows: np.ndarray, owner: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -419,8 +418,8 @@ def _child_rows(rows: np.ndarray, owner: np.ndarray, sets: np.ndarray) -> np.nda
 
 
 def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
-    """``_attachment_sets`` of one parent g (``perfbench/tracing.py`` replays steps with it)."""
-    return _attachment_sets(row_array([g.adj], g.order), spec)[1].tolist()
+    """``_attachment_sets`` of one parent g, sorted (``perfbench/tracing.py`` replays steps with it)."""
+    return np.sort(_attachment_sets(row_array([g.adj], g.order), spec)[1]).tolist()
 
 
 def _extend_entries(spec: ProblemSpec, rows: np.ndarray) -> list[CanonKey]:

@@ -209,10 +209,11 @@ def _parse_header_int(lines: list[str], index: int, name: str, low: int,
         raise IntegrityError(f"level file line {index + 1}: missing '{name}' field")
     if tag != name:
         raise IntegrityError(f"level file line {index + 1}: expected '{name}', found '{tag}'")
-    try:
-        number = int(value)
-    except ValueError:
+    # Only what ``write_level`` writes: int() would also take "+1", " 1" and "1_0".
+    digits = value.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise IntegrityError(f"level file line {index + 1}: bad {name} value {value!r}")
+    number = int(value)
     if number < low or high is not None and number > high:
         raise IntegrityError(f"level file line {index + 1}: {name} {number} "
                              f"outside {low}..{high or ''}")

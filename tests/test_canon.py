@@ -33,8 +33,8 @@ from triramsey import (
 )
 from triramsey import canon
 from triramsey.canon import (
-    _encode_rows,
     _individualize,
+    _leaf_keys,
     _refine_cells,
     _root_cells,
     canonical_forms,
@@ -488,18 +488,20 @@ def test_root_cells_match_round_based_reference():
     # All graphs of one order go through one batch, so every round runs with
     # some graphs already stable.  Each vertex's first twin comes with them.
     for n, graphs in by_order(batch_corpus()).items():
-        cells, first, leaf = _root_cells(row_array(graphs, n))
-        for g, vertex_cells, twin, single in zip(graphs, cells, first, leaf):
+        cells, first, count, classes = _root_cells(row_array(graphs, n))
+        for g, vertex_cells, twin, single in zip(graphs, cells, first, count == classes):
             assert (batch_root(vertex_cells), bool(single)) == quotient_root(g), g
             assert twin.tolist() == [g.adj.index(row) for row in g.adj], g
 
 
 def test_encode_rows_matches_encode():
+    # A leaf whose cells are the inverse of a vertex order is relabeled by it.
     rng = random.Random(18)
     for n in range(MAX_N + 1):
         graphs = [random_graph(rng, n, rng.choice([0.1, 0.5, 0.9])) for _ in range(rng.randint(0, 4))]
         orders = [random_permutation(rng, n) for _ in graphs]
-        keys = _encode_rows(row_array(graphs, n), np.array(orders, dtype=np.intp).reshape(len(graphs), n))
+        cells = np.argsort(np.array(orders, dtype=np.intp).reshape(len(graphs), n), axis=1)
+        keys = _leaf_keys(row_array(graphs, n), cells)
         assert keys == [_encode(n, g.adj, order) for g, order in zip(graphs, orders)]
 
 
@@ -507,12 +509,17 @@ def test_encode_rows_matches_encode():
     ("corpus", batch_corpus),
     ("t_2_7", lambda: relabeled(random.Random(19), level_members(ProblemSpec(k=2, j=7)))),
     ("r_1_4_7", lambda: relabeled(random.Random(20), level_members(ProblemSpec(k=1, j=7, i=4)))),
+    ("empty", lambda: []),
+    ("order_0", lambda: [build_graph(0, [])] * 3),
 ])
 def test_canonical_forms_match_canonical_form(name, graphs):
     # ``_root_cells`` runs different rounds for a graph alone, in its order's
-    # whole batch and in a shuffled batch; the keys must not notice.
+    # whole batch and in a shuffled batch; the keys must not notice.  Every
+    # order the graphs miss is labeled as an empty (0 x n) batch.
     rng = random.Random(21)
-    for n, group in by_order(graphs()).items():
+    groups = by_order(graphs())
+    for n in range(MAX_N + 1):
+        group = groups.get(n, [])
         alone = [canonical_form(g) for g in group]
         assert canonical_forms(row_array(group, n)) == alone, n
         shuffle = rng.sample(range(len(group)), len(group))
@@ -534,7 +541,8 @@ def test_wide_labeling_batches_keep_keys(monkeypatch):
     # of nodes at a time, four batches of order 11 (2,166 nodes), or, with
     # the rule at one batch, at most 541; the keys must not notice.
     rows = random_labeling_batch(11, 2500)
-    assert (~_root_cells(rows)[2]).sum() > 300
+    _, _, count, classes = _root_cells(rows)
+    assert (count < classes).sum() > 300
     searched = []
     refine = canon._refine_cells
 

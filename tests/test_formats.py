@@ -340,9 +340,13 @@ def test_order_out_of_range_detected(tmp_path, order):
     (2, "i 0", "level file line 3: i 0 outside 2.."),
     (3, "j 1", "level file line 4: j 1 outside 2.."),
     (5, "count -1", "level file line 6: count -1 outside 0.."),
-], ids=["k", "i", "j", "count"])
+    (1, "k +1", "level file line 2: bad k value '+1'"),
+    (1, "k  1", "level file line 2: bad k value ' 1'"),
+    (1, "k 1_0", "level file line 2: bad k value '1_0'"),
+], ids=["k", "i", "j", "count", "plus", "space", "underscore"])
 def test_header_field_out_of_range_detected(tmp_path, line, value, message):
-    # Each field's bound is checked where the header is read, as the order's is.
+    # Each field's bound is checked where the header is read, as the order's
+    # is, and a field is read only as written: an optional '-' and ASCII digits.
     spec = ProblemSpec(k=1, j=3)
     target = tmp_path / "level.lvl"
     write_level(level_at(spec, 4), spec, target)
