@@ -2,15 +2,20 @@
 
 Key layout: byte 0 holds the order n, then ceil(n(n-1)/2 / 8) bytes hold the
 row-major upper-triangular adjacency bits of the canonically relabeled graph,
-most significant bit first, zero padded.  Two graphs get equal keys exactly
-when they are isomorphic, and keys compare as plain byte strings, which gives
-the total order used for deduplication and stable file output.  The key is
-the whole class: ``decode_key`` rebuilds the canonically labeled
-representative from it, so no relabeled graph is ever carried beside a key.
-The layout has one home, this module: ``_leaf_keys`` writes it,
-``decode_key`` validates it, and ``decode_keys`` gives the rows of a chunk
-of keys, adding one ``key_tables`` entry per key byte; a level's rows are
-decoded with it, once, by ``enumeration.LevelSet.from_keys``.
+most significant bit first, zero padded: ``key_width(n)`` bytes in all.  Two
+graphs get equal keys exactly when they are isomorphic, and keys compare as
+plain byte strings, which gives the total order used for deduplication and
+stable file output.  Keys of a batch travel as one (graphs x
+``key_width(n)``) uint8 array, a key a row; zero padded to whole 8-byte
+words, such rows read as big-endian uint64 words compare as the keys do, so
+one ``np.lexsort`` over the words sorts them.  A ``CanonKey`` (``bytes``)
+is one such row, from ``canonical_form`` or ``.tobytes()``.  The key is the
+whole class: ``decode_key`` rebuilds the canonically labeled representative
+from it, so no relabeled graph is ever carried beside a key.  The layout has
+one home, this module: ``_leaf_keys`` writes it, ``decode_key`` validates
+it, and ``decode_keys`` gives the rows of an array of keys, adding one
+``key_tables`` entry per key byte; a level's rows are decoded with it, once,
+by ``enumeration.LevelSet.from_keys``.
 
 The labeling is found by equitable partition refinement plus
 individualization.  Vertices with identical neighborhoods (false twins) are
@@ -28,17 +33,23 @@ refinement of all of them, every open search node of every graph refined in
 the same numpy rounds as the roots (``_refine_cells``), and the roots and
 every refined batch of nodes passed through one step that encodes the
 leaves and keeps the rest for the next round.  ``canonical_form`` labels a
-batch of one.  A round ranks each graph's vertices by one in-place sort of
-uint64 keys tagged with their vertex (``_rank``).  The per-vertex
-temporaries (cells, first twins, twin counts, ranks) are uint8, as every
-such value is at most n <= MAX_N, so that a call of a labeling batch
-(``graphs._label_spans``) holds little more than one batch did in int64.
+batch of one.  Each step works on whole (graphs x n) arrays, never along a
+short axis of n <= 32 where numpy's reductions, sorts and fancy indexing
+pay their per-row cost: the twin classes are one column compare per vertex
+into a uint32 twin mask (``_twins``); a round ranks each graph's vertices
+by one in-place sort of uint64 keys tagged with their vertex, adds up the
+ranks column by column and takes them back to the vertices by a second sort
+of uint16 tags (``_rank``); a leaf's vertex order is one sort of uint16
+cells tagged with their vertex, and its key bits are packed from bool
+(``_leaf_keys``).  The per-vertex temporaries (cells, first twins, twin
+counts, ranks) are uint8, as every such value is at most n <= MAX_N, so
+that a call of a labeling batch (``graphs._label_spans``) holds little more
+than one batch did in int64.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -81,14 +92,26 @@ def key_tables(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
     return _bit_tables(1 + byte, 7 - place, *_row_sides(first, second), 8, np.uint32)
 
 
+def key_width(n: int) -> int:
+    """The bytes of a key of order n: the order byte, then n(n-1)/2 bits
+    eight a byte."""
+    return 1 + (n * (n - 1) // 2 + 7) // 8
+
+
+def _word_width(n: int) -> int:
+    """The bytes of a key of order n zero padded to whole 8-byte words."""
+    return -(-key_width(n) // 8) * 8
+
+
 def canonical_form(g: Graph) -> CanonKey:
     """Relabeling-invariant key; equal keys <=> isomorphic graphs (``canonical_forms`` of one)."""
-    return canonical_forms(row_array([g.adj], g.order))[0]
+    return canonical_forms(row_array([g.adj], g.order))[0].tobytes()
 
 
-def canonical_forms(rows: np.ndarray) -> list[CanonKey]:
-    """The key of every graph of a (graphs x n) uint32 row array: its
-    smallest leaf key, searched from its equitable root cells
+def canonical_forms(rows: np.ndarray) -> np.ndarray:
+    """The keys of every graph of a (graphs x n) uint32 row array, as one
+    C-contiguous (graphs x ``key_width(n)``) uint8 array, a key a row: each
+    graph's smallest leaf key, searched from its equitable root cells
     (``_root_cells``), the roots of all graphs at once.
 
     The search tree is walked breadth first, one level of every graph's
@@ -100,27 +123,39 @@ def canonical_forms(rows: np.ndarray) -> list[CanonKey]:
     the refined children of each batch of nodes, go through one step: a
     node whose cells are its twin classes is a leaf, encoded (``_leaf_keys``)
     and kept if it is its graph's smallest key so far; the others are one
-    piece of the next frontier.  So no leaf is held in the frontier, and no
-    temporary of a round grows with the frontier, which a graph with a
-    large automorphism group makes far wider than a batch.  The smallest
-    key over all leaves does not depend on the order in which they are
-    visited.
+    piece of the next frontier.  A root leaf is its graph's only leaf, and
+    its key is written as it is; the leaves of a later step and the keys
+    their graphs hold so far are sorted together by (graph, key) with one
+    ``np.lexsort`` over the keys' big-endian 8-byte words, and each graph
+    keeps the first.  So no leaf is held in the frontier, and no temporary
+    of a round grows with the frontier, which a graph with a large
+    automorphism group makes far wider than a batch.  The smallest key over
+    all leaves does not depend on the order in which they are visited.
     """
     m, n = rows.shape
     cells, first, count, classes = _root_cells(rows)
-    best: list[CanonKey | None] = [None] * m
-    frontier: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    leaf = count == classes
+    # Keys are held zero padded to whole words; a graph with no leaf yet
+    # holds the largest row.
+    keys = np.full((m, _word_width(n)), 255, dtype=np.uint8)
+    keys[leaf] = _leaf_keys(rows[leaf], cells[leaf])
+    frontier = [(np.flatnonzero(~leaf), cells[~leaf], count[~leaf])] if not leaf.all() else []
 
     def step(graph: np.ndarray, cells: np.ndarray, count: np.ndarray) -> None:
         leaf = count == classes[graph]
-        found = graph[leaf]
-        for g, key in zip(found.tolist(), _leaf_keys(rows[found], cells[leaf])):
-            if best[g] is None or key < best[g]:
-                best[g] = key
+        if leaf.any():
+            # Each leaf's key beside its graph's key so far: sorted by (graph,
+            # key), a graph's first row is its smallest.
+            found = graph[leaf]
+            owner = np.concatenate([found, found])
+            held = np.concatenate([keys[found], _leaf_keys(rows[found], cells[leaf])])
+            order = np.lexsort((*held.view(">u8").T[::-1], owner))
+            owner = owner[order]
+            opens = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+            keys[owner[opens]] = held[order[opens]]
         if not leaf.all():
             frontier.append((graph[~leaf], cells[~leaf], count[~leaf]))
 
-    step(np.arange(m), cells, count)
     while frontier:
         opened, frontier = frontier, []
         for graph, cells, count in opened:
@@ -130,28 +165,34 @@ def canonical_forms(rows: np.ndarray) -> list[CanonKey]:
                 for at in _label_spans(child.size, n):
                     _refine_cells(rows[child[at]], children[at], below[at], classes[child[at]])
                 step(child, children, below)
-    return best
+    return np.ascontiguousarray(keys[:, :key_width(n)])
 
 
-def _leaf_keys(rows: np.ndarray, cells: np.ndarray) -> list[CanonKey]:
-    """The key of each leaf: ``rows[x]`` relabeled cell by cell of
-    ``cells[x]``, each twin class in ascending vertex order.  Leaves are
-    encoded one batch (``_spans``) at a time, which keeps the gathers as
-    small inside a wide labeling batch as in one batch."""
+def _leaf_keys(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The keys of the leaves, as a (leaves x ``_word_width(n)``) uint8
+    array, a key a row, zero padded to whole 8-byte words: ``rows[x]``
+    relabeled cell by cell of ``cells[x]``, each twin class in ascending
+    vertex order.  Leaves are encoded one batch (``_spans``) at a time,
+    which keeps the gathers as small inside a wide labeling batch as in one
+    batch."""
     m, n = rows.shape
     first, second = upper_pairs(n)
-    keys: list[CanonKey] = []
+    width = key_width(n)
+    keys = np.zeros((m, _word_width(n)), dtype=np.uint8)
+    keys[:, 0] = n
     for at in _spans(m, n * n):
+        # Each vertex tagged with its cell above it, so that one sort of the
+        # tags orders the vertices by cell and, within a cell, by vertex.
+        tags = cells[at].astype(np.uint16) << np.uint16(8)
+        tags |= np.arange(n, dtype=np.uint16)
+        tags.sort(axis=1)
+        orders = tags.astype(np.uint8)
         # Vertex a of leaf x is orders[x, a]; pair (a, b) is an edge when its
         # row holds orders[x, b]: one (leaves x pairs) array, masked in place.
-        orders = np.argsort(cells[at], axis=1, kind="stable")
         bits = np.take_along_axis(rows[at], orders, axis=1)[:, first]
-        bits >>= orders.astype(np.uint8)[:, second]
-        bits &= 1
-        body = np.packbits(bits, axis=1)
-        blob = np.hstack([np.full((len(body), 1), n, dtype=np.uint8), body]).tobytes()
-        width = 1 + body.shape[1]
-        keys += [blob[x:x + width] for x in range(0, len(blob), width)]
+        bits >>= orders[:, second]
+        bits &= np.uint32(1)
+        keys[at, 1:width] = np.packbits(bits.astype(bool), axis=1)
     return keys
 
 
@@ -190,13 +231,29 @@ def _root_cells(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     if not n:
         empty, zero = np.zeros((m, 0), dtype=np.uint8), np.zeros(m, dtype=np.uint8)
         return empty, empty, zero, zero
-    twins = rows[:, :, None] == rows[:, None, :]
-    first, sizes = twins.argmax(axis=2).astype(np.uint8), twins.view(np.uint8).sum(axis=2, dtype=np.uint8)
-    del twins  # the call's largest array: not held through the refinement
+    first, sizes = _twins(rows)
     # A vertex opens its class when its first twin is itself.
-    classes = (first == np.arange(n)).view(np.uint8).sum(axis=1, dtype=np.uint8)
+    classes = (first == np.arange(n, dtype=np.uint8)).view(np.uint8).sum(axis=1, dtype=np.uint8)
     cells, count = _refine_cells(rows, *_rank(sizes.astype(np.uint64)), classes)
     return cells, first, count, classes
+
+
+def _twins(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's first twin and the size of its twin class, for every
+    graph of a (graphs x n) uint32 row array (two (graphs x n) uint8
+    arrays).
+
+    One column compare per vertex u sets bit u of the twin mask of every
+    vertex that shares u's row: the mask's lowest bit is the vertex's first
+    twin, and its count the class's size.
+    """
+    m, n = rows.shape
+    twins = np.zeros((m, n), dtype=np.uint32)
+    for u in range(n):
+        twins |= (rows == rows[:, u, None]).astype(np.uint32) << np.uint32(u)
+    first = np.bitwise_count(twins ^ (twins - np.uint32(1)))
+    first -= np.uint8(1)
+    return first, np.bitwise_count(twins)
 
 
 def _refine_cells(rows: np.ndarray, cells: np.ndarray, count: np.ndarray,
@@ -267,26 +324,33 @@ def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys are overwritten.
 
     Each key is tagged with its vertex in its low bits and every row sorted
-    in place, a batch of graphs at a time, so that one sort gives both the
-    keys' order and the vertex of each place in it.
+    in place, so that one sort gives both the keys' order and the vertex of
+    each place in it; a second sort, of uint16 tags, takes the ranks from
+    places back to vertices.
     """
     m, n = keys.shape
     keys <<= np.uint64(64 - _KEY_BITS)
     keys |= np.arange(n, dtype=np.uint64)
-    ranks = np.empty((m, n), dtype=np.uint8)
-    split = np.empty(m, dtype=np.uint8)
-    for at in _spans(m, n * n):
-        tagged = keys[at]
-        tagged.sort(axis=1)
-        vertex = (tagged & np.uint64(31)).astype(np.uint8)
-        tagged >>= np.uint64(64 - _KEY_BITS)
-        # A vertex opens a key when it differs from the one before it.
-        opens = np.zeros(tagged.shape, dtype=bool)
-        np.not_equal(tagged[:, 1:], tagged[:, :-1], out=opens[:, 1:])
-        place = np.cumsum(opens.view(np.uint8), axis=1, dtype=np.uint8)
-        ranks[at][np.arange(len(tagged))[:, None], vertex] = place
-        split[at] = place[:, -1] + 1
-    return ranks, split
+    keys.sort(axis=1)
+    # Each place's vertex, tagged with the place's rank below it: sorted, the
+    # tags are in vertex order, so their low bytes are the vertices' ranks.
+    tags = keys.astype(np.uint16)
+    tags &= np.uint16(31)
+    tags <<= np.uint16(8)
+    keys >>= np.uint64(64 - _KEY_BITS)
+    # A place opens a key when it differs from the one before it (compared
+    # along the flat rows, which takes no buffer, and the first column is
+    # then cleared); its rank is the number of opens up to it, added up
+    # column by column.
+    place = np.empty((m, n), dtype=np.uint8)
+    flat = keys.reshape(-1)
+    np.not_equal(flat[1:], flat[:-1], out=place.reshape(-1)[1:].view(bool))
+    place[:, 0] = 0
+    for column in range(1, n):
+        place[:, column] += place[:, column - 1]
+    tags |= place
+    tags.sort(axis=1)
+    return tags.astype(np.uint8), place[:, -1] + np.uint8(1)
 
 
 def canonical_graph(g: Graph) -> tuple[CanonKey, Graph]:
@@ -313,19 +377,20 @@ def decode_key(key: CanonKey) -> Graph:
     pad = -nbits % 8
     if key[-1] & ((1 << pad) - 1):
         raise DecodeError("nonzero trailing padding bits", offset=len(key) - 1)
-    return Graph(n, tuple(decode_keys([key])[0].tolist()))
+    rows = decode_keys(np.frombuffer(key, dtype=np.uint8).reshape(1, -1))
+    return Graph(n, tuple(rows[0].tolist()))
 
 
-def decode_keys(keys: Sequence[CanonKey]) -> np.ndarray:
+def decode_keys(keys: np.ndarray) -> np.ndarray:
     """The (keys x n) uint32 rows of the graphs ``decode_key`` rebuilds from
-    keys of one order n ((0 x 0) for no keys): the sum over the key's body
-    bytes of their ``key_tables`` entries.
+    keys of one order n, a (keys x ``key_width(n)``) uint8 array, a key a
+    row ((0 x 0) for no keys): the sum over the key's body bytes of their
+    ``key_tables`` entries.
 
     The keys are not validated: they must come from ``canonical_forms`` (or
     have passed ``decode_key``).
     """
-    if not keys:
+    if not len(keys):
         return np.zeros((0, 0), dtype=np.uint32)
-    n = keys[0][0]
-    data = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
-    return _apply_tables(key_tables(n), data, np.zeros((len(keys), n), dtype=np.uint32))
+    n = int(keys[0, 0])
+    return _apply_tables(key_tables(n), keys, np.zeros((len(keys), n), dtype=np.uint32))

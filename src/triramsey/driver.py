@@ -216,10 +216,14 @@ def probe_conjecture(k_max: int, limits: RunLimits | None = None, *,
                      reports: dict[ProblemSpec, RunReport] | None = None) -> list[ProbeCell]:
     """Test whether T_k(k+i) = k+2i-1 with a K_{i-1,k+i-1} extremal witness.
 
-    Covers every (k, i) with 2 <= i <= k <= k_max.  Nothing is assumed: each
-    cell is computed from scratch and compared against the predicted value.
-    ``reports`` lets callers share already-computed runs across probes.
+    Covers every (k, i) with 2 <= i <= k <= k_max, so k_max >= 2 (a smaller
+    one has no cell, and an empty probe would read as agreement).  Nothing
+    is assumed: each cell is computed from scratch and compared against the
+    predicted value.  ``reports`` lets callers share already-computed runs
+    across probes.
     """
+    if k_max < 2:
+        raise ConstructionError(f"k_max={k_max} < 2: the probe has no cell")
     cells = []
     for k in range(2, k_max + 1):
         for i in range(2, k + 1):

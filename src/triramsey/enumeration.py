@@ -58,11 +58,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .canon import CanonKey, canonical_form, canonical_forms, decode_keys
+from .canon import CanonKey, canonical_forms, decode_keys, key_width
 from .defect import has_k_dense_set, has_k_sparse_set
 from .errors import ConstructionError
 from .graphs import (
@@ -116,8 +116,9 @@ class LevelSet:
         self.rows.flags.writeable = False
 
     @classmethod
-    def from_keys(cls, order: int, keys: Sequence[CanonKey]) -> LevelSet:
-        """The level of sorted canonical keys of one order, decoded a labeling
+    def from_keys(cls, order: int, keys: np.ndarray) -> LevelSet:
+        """The level of the sorted canonical keys of one order, a (keys x
+        ``key_width(order)``) uint8 array, a key a row, decoded a labeling
         batch (``_label_spans``) at a time; the keys are not kept."""
         level = cls(order)
         level.rows = np.empty((len(keys), order), dtype=np.uint32)
@@ -128,7 +129,7 @@ class LevelSet:
 
     @property
     def members(self) -> tuple[tuple[CanonKey, Graph], ...]:
-        return tuple(zip(canonical_forms(self.rows), self.graphs()))
+        return tuple(zip((key.tobytes() for key in canonical_forms(self.rows)), self.graphs()))
 
     def graphs(self) -> list[Graph]:
         return [Graph(self.order, tuple(row)) for row in self.rows.tolist()]
@@ -177,7 +178,7 @@ def find_forbidden_set(g: Graph, spec: ProblemSpec):
 
 def initial_level(spec: ProblemSpec) -> LevelSet:
     """The order-1 level: K1 (always a member, since ``ProblemSpec`` has j, i >= 2)."""
-    return LevelSet.from_keys(1, [canonical_form(single_vertex())])
+    return LevelSet.from_keys(1, canonical_forms(row_array([single_vertex().adj], 1)))
 
 
 @lru_cache(maxsize=64)
@@ -424,14 +425,17 @@ def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
 
 def _extend_entries(spec: ProblemSpec, rows: np.ndarray) -> list[CanonKey]:
     """Worker task: the canonical keys of the surviving children of the
-    parents of a (parents x n) uint32 row array.  The attachment sets of
-    every parent come from one ``_attachment_sets`` pass, and the children
-    are built and labeled a labeling batch (``_label_spans``) at a time
-    whichever parents they come from."""
+    parents of a (parents x n) uint32 row array, as ``bytes`` for
+    ``level_step``'s merge set.  The attachment sets of every parent come
+    from one ``_attachment_sets`` pass, and the children are built and
+    labeled a labeling batch (``_label_spans``) at a time whichever parents
+    they come from."""
     owner, sets = _attachment_sets(rows, spec)
+    width = key_width(rows.shape[1] + 1)
     keys: list[CanonKey] = []
     for span in _label_spans(len(sets), rows.shape[1] + 1):
-        keys += canonical_forms(_child_rows(rows, owner[span], sets[span]))
+        blob = canonical_forms(_child_rows(rows, owner[span], sets[span])).tobytes()
+        keys += [blob[at:at + width] for at in range(0, len(blob), width)]
     return keys
 
 
@@ -443,7 +447,7 @@ def level_at(spec: ProblemSpec, order: int) -> LevelSet:
     while level.order < order and len(level) > 0:
         level = level_step(level, spec)
     if level.order < order:
-        return LevelSet.from_keys(order, [])
+        return LevelSet(order)
     return level
 
 
@@ -460,9 +464,10 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
     cost once per batch rather than once per few parents, and no worker
     waits on a long task while another has a short remainder.  Output is
     identical for any mapper and any cut: tasks return only the canonical
-    keys of the children, the merge is a set of keys, freed once they are
-    sorted, and ``LevelSet.from_keys`` decodes each class once from its key
-    at the end.  ``max_cardinality`` is checked after each task.
+    keys of the children, the merge is a set of ``bytes`` keys, freed once
+    they are sorted and joined into one (keys x ``key_width``) uint8 array,
+    and ``LevelSet.from_keys`` decodes each class once from its key at the
+    end.  ``max_cardinality`` is checked after each task.
     """
     next_order = level.order + 1
     tasks = [level.rows[span] for span in _spans(len(level), level.order ** 2)]
@@ -473,4 +478,5 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
             raise LevelCardinalityExceeded(next_order, max_cardinality)
     keys = sorted(merged)
     del merged
+    keys = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, key_width(next_order))
     return LevelSet.from_keys(next_order, keys)

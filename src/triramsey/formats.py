@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .canon import canonical_forms
+from .canon import _word_width, canonical_forms, key_width
 from .canon import canonical_graph  # noqa: F401  (perfbench/tracing.py swaps this name for a timed wrapper)
 from .enumeration import LevelSet, ProblemSpec
 from .errors import CapacityError, DecodeError, IntegrityError, SpecConflictError
@@ -262,7 +262,9 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     through ``graph6_decode`` and the order check in file order, after the
     digest check, so that the first bad line raises.  The block is decoded
     and labeled a labeling batch (``_label_spans``) at a time
-    (``canonical_forms``), and the level's rows are decoded from its sorted
+    (``canonical_forms``) into one array of keys, which is sorted by one
+    ``np.lexsort`` over its big-endian 8-byte words; a repeated class is two
+    equal neighbouring rows.  The level's rows are decoded from the sorted
     keys (``LevelSet.from_keys``).
     """
     data = Path(source).read_bytes()
@@ -300,12 +302,17 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
             if g.order != order:
                 raise IntegrityError(f"member of order {g.order} in a level of order {order}")
 
-    keys = sorted(key for span in _label_spans(count, order)
-                  for key in canonical_forms(_graph6_rows(block[span], order)))
-    for key, next_key in zip(keys, keys[1:]):
-        if key == next_key:
-            raise IntegrityError("level file repeats an isomorphism class")
-    return LevelSet.from_keys(order, keys), spec
+    # Keys zero padded to whole 8-byte words, which compare as the keys do
+    # when read big-endian.
+    width = key_width(order)
+    keys = np.zeros((count, _word_width(order)), dtype=np.uint8)
+    for span in _label_spans(count, order):
+        keys[span, :width] = canonical_forms(_graph6_rows(block[span], order))
+    words = keys.view(">u8")
+    words = words[np.lexsort(words.T[::-1])]
+    if (words[1:] == words[:-1]).all(axis=1).any():
+        raise IntegrityError("level file repeats an isomorphism class")
+    return LevelSet.from_keys(order, words.view(np.uint8)[:, :width]), spec
 
 
 def level_filename(order: int) -> str:

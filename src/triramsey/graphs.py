@@ -39,21 +39,21 @@ VertexSet = int
 #: chunk and the (levels x members x subsets x words) saturating counts and
 #: (members x subsets x words) edge gathers of its uint64 edge planes; the
 #: line blocks of a level file's writer; and the (graphs x n(n-1)/2)
-#: gathers in which ``canon`` encodes leaves and the (graphs x n) uint64 keys
-#: it sorts to rank.  ``_spans`` chunks the set, pair, graph and subset axes
-#: to respect it.  One batch of graphs of order n is ``_BROADCAST_ELEMENTS // n**2`` of
-#: them: ``enumeration.level_step`` cuts a level into tasks of at most one
-#: batch of parents.
+#: gathers in which ``canon`` encodes leaves.  ``_spans`` chunks the set,
+#: pair, graph and subset axes to respect it.  One batch of graphs of order
+#: n is ``_BROADCAST_ELEMENTS // n**2`` of them: ``enumeration.level_step``
+#: cuts a level into tasks of at most one batch of parents.
 _BROADCAST_ELEMENTS = 1 << 16
 
 #: Graphs are decoded and labeled ``_LABEL_BATCHES`` batches at a time
 #: (``_label_spans``; 2,166 graphs at order 11): ``canon.canonical_forms``
 #: runs some fifty numpy calls per refinement round whatever its width, so
 #: at one batch a call most of its time was dispatch.  Its per-vertex
-#: temporaries are one byte (cells, ranks, twin counts; the (graphs x n x n)
-#: twin matrices are bool) and it encodes leaves one batch at a time, so a
-#: call of four batches peaks little above one batch of 64-bit temporaries
-#: (0.71 against 0.62 MB at order 11; 2.35 MB when only widened).
+#: temporaries are one or two bytes (cells, ranks, twin counts, sort tags;
+#: the (graphs x n) twin masks are uint32) and it encodes leaves one batch
+#: at a time, so a call of four batches peaks about as high as one batch of
+#: 64-bit temporaries (0.65 against 0.62 MB at order 11; 2.35 MB when only
+#: widened).
 _LABEL_BATCHES = 4
 
 

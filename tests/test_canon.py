@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathlib import Path
+
 from triramsey import (
     MAX_N,
     DecodeError,
@@ -25,6 +27,7 @@ from triramsey import (
     complete_bipartite,
     cycle,
     decode_key,
+    graph6_decode,
     initial_level,
     level_step,
     path,
@@ -37,10 +40,13 @@ from triramsey.canon import (
     _leaf_keys,
     _refine_cells,
     _root_cells,
+    _twins,
+    _word_width,
     canonical_forms,
     decode_keys,
+    key_width,
 )
-from triramsey.graphs import _LABEL_BATCHES, _spans
+from triramsey.graphs import _LABEL_BATCHES, _label_spans, _spans
 from triramsey.oracle import brute_isomorphic, count_graph_classes
 
 from .conftest import petersen, random_graph, random_permutation, random_triangle_free
@@ -80,6 +86,16 @@ def brute_min_key(g: Graph) -> bytes:
     return min(_encode(g.order, g.adj, list(p)) for p in itertools.permutations(range(g.order)))
 
 
+def key_list(keys: np.ndarray) -> list[bytes]:
+    """The rows of a (graphs x key width) uint8 array of keys, each as ``bytes``."""
+    return [key.tobytes() for key in keys]
+
+
+def key_array(keys: list[bytes], n: int) -> np.ndarray:
+    """Keys of order n as one (keys x ``key_width(n)``) uint8 array."""
+    return np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), key_width(n))
+
+
 def test_relabeling_examples():
     p3 = path(3)
     assert canonical_form(p3) == canonical_form(permute(p3, [2, 0, 1]))
@@ -88,7 +104,7 @@ def test_relabeling_examples():
 
 def labeled_keys(n: int) -> set[bytes]:
     """The keys of every labeled graph of order n, labeled in one batch."""
-    return set(canonical_forms(row_array(list(all_labeled_graphs(n)), n)))
+    return set(key_list(canonical_forms(row_array(list(all_labeled_graphs(n)), n))))
 
 
 def test_distinct_key_count_order_4():
@@ -243,8 +259,8 @@ def test_wide_search_trees(monkeypatch, g, per_chunk):
         assert next(_spans(160, n * n)) == slice(0, per_chunk)
     rng = random.Random(22)
     copies = [permute(g, random_permutation(rng, n)) for _ in range(20)]
-    assert [canonical_forms(row_array([c], n))[0] for c in copies] == [key] * 20
-    assert canonical_forms(row_array(copies, n)) == [key] * 20
+    assert [canonical_forms(row_array([c], n))[0].tobytes() for c in copies] == [key] * 20
+    assert key_list(canonical_forms(row_array(copies, n))) == [key] * 20
     assert nx.is_isomorphic(nx_graph(decode_key(key)), nx_graph(g))
 
 
@@ -410,6 +426,24 @@ def test_golden_key_digest():
         "5f3081bcfb60fb9e6761aa3db0ad591bd2bb88f2fd39a3512ca7c8101db0f9d9")
 
 
+T_1_7_LEVEL_11 = Path(__file__).resolve().parents[1] / "perfbench/fixtures/t1_7-level-11.lvl"
+
+
+def test_fixture_level_key_digest():
+    # Pins the keys of a real level at scale, where the golden corpus has
+    # about a thousand small graphs: the 31,011 order-11 members of T_1(7)'s
+    # pinned level, each relabeled, labeled a labeling batch at a time.
+    lines = T_1_7_LEVEL_11.read_text(encoding="ascii").splitlines()
+    members = [graph6_decode(line) for line in lines[lines.index("begin") + 1:-1]]
+    rng = random.Random(1)
+    rows = row_array(relabeled(rng, members), 11)
+    keys = [key for span in _label_spans(len(rows), 11) for key in key_list(canonical_forms(rows[span]))]
+    assert len(keys) == len(set(keys)) == 31011
+    digest = hashlib.sha256(b"".join(sorted(keys)))
+    assert digest.hexdigest() == (
+        "f9293465b004f59e1272e96b9c500e4fa6c8b0f099e1e1131b37198c973c59a1")
+
+
 def row_array(graphs: list[Graph], n: int) -> np.ndarray:
     return np.array([g.adj for g in graphs], dtype=np.uint32).reshape(len(graphs), n)
 
@@ -494,6 +528,49 @@ def test_root_cells_match_round_based_reference():
             assert twin.tolist() == [g.adj.index(row) for row in g.adj], g
 
 
+def twinned(rng: random.Random, n: int) -> Graph:
+    """A random graph of order n in which about half the vertices are added
+    as false twins of earlier ones."""
+    g = random_graph(rng, (n + 1) // 2, rng.choice([0.2, 0.5, 0.8]))
+    while g.order < n:
+        g = add_vertex(g, g.adj[rng.randrange(g.order)])
+    return permute(g, random_permutation(rng, n))
+
+
+def test_twins_match_twin_matrices():
+    # Each vertex's first twin and class size, from one column compare per
+    # vertex, are the argmax and the sum along the last axis of the
+    # (graphs x n x n) twin matrix, at every order, twin-heavy graphs
+    # included: blow-ups, complete bipartite and edgeless graphs.
+    rng = random.Random(23)
+    for n in range(1, MAX_N + 1):
+        graphs = [random_graph(rng, n, rng.choice([0.1, 0.5, 0.9])) for _ in range(4)]
+        graphs += [twinned(rng, n) for _ in range(4)]
+        graphs += [permute(blow_up(g, n // g.order), random_permutation(rng, n))
+                   for g in (cycle(5), path(4), petersen()) if n % g.order == 0]
+        graphs += [build_graph(n, []), permute(complete_bipartite(n // 3, n - n // 3), random_permutation(rng, n))]
+        rows = row_array(graphs, n)
+        matrices = rows[:, :, None] == rows[:, None, :]
+        first, sizes = _twins(rows)
+        assert first.dtype == sizes.dtype == np.uint8
+        assert first.tolist() == matrices.argmax(axis=2).tolist(), n
+        assert sizes.tolist() == matrices.sum(axis=2).tolist(), n
+        assert _root_cells(rows)[1].tolist() == first.tolist(), n
+
+
+def test_leaf_keys_order_twins_by_vertex():
+    # Twins share a leaf's cell; ``_leaf_keys`` orders the vertices of a cell
+    # by vertex, as a stable argsort of the cells does, whatever the cells.
+    rng = random.Random(24)
+    for n in range(MAX_N + 1):
+        graphs = [twinned(rng, n) if n else build_graph(0, []) for _ in range(rng.randint(1, 4))]
+        cells = np.array([[rng.randrange(max(1, n // 3)) for _ in range(n)] for _ in graphs],
+                         dtype=np.uint8).reshape(len(graphs), n)
+        keys = _leaf_keys(row_array(graphs, n), cells)[:, :key_width(n)]
+        orders = np.argsort(cells, axis=1, kind="stable").tolist()
+        assert key_list(keys) == [_encode(n, g.adj, order) for g, order in zip(graphs, orders)], n
+
+
 def test_encode_rows_matches_encode():
     # A leaf whose cells are the inverse of a vertex order is relabeled by it.
     rng = random.Random(18)
@@ -502,7 +579,9 @@ def test_encode_rows_matches_encode():
         orders = [random_permutation(rng, n) for _ in graphs]
         cells = np.argsort(np.array(orders, dtype=np.intp).reshape(len(graphs), n), axis=1)
         keys = _leaf_keys(row_array(graphs, n), cells)
-        assert keys == [_encode(n, g.adj, order) for g, order in zip(graphs, orders)]
+        assert keys.dtype == np.uint8 and keys.shape == (len(graphs), _word_width(n))
+        assert not keys[:, key_width(n):].any()  # zero padded to whole 8-byte words
+        assert key_list(keys[:, :key_width(n)]) == [_encode(n, g.adj, order) for g, order in zip(graphs, orders)]
 
 
 @pytest.mark.parametrize("name, graphs", [
@@ -515,15 +594,19 @@ def test_encode_rows_matches_encode():
 def test_canonical_forms_match_canonical_form(name, graphs):
     # ``_root_cells`` runs different rounds for a graph alone, in its order's
     # whole batch and in a shuffled batch; the keys must not notice.  Every
-    # order the graphs miss is labeled as an empty (0 x n) batch.
+    # order the graphs miss is labeled as an empty (0 x n) batch.  The keys
+    # are one C-contiguous (graphs x key width) uint8 array.
     rng = random.Random(21)
     groups = by_order(graphs())
     for n in range(MAX_N + 1):
         group = groups.get(n, [])
         alone = [canonical_form(g) for g in group]
-        assert canonical_forms(row_array(group, n)) == alone, n
+        keys = canonical_forms(row_array(group, n))
+        assert keys.dtype == np.uint8 and keys.shape == (len(group), key_width(n)), n
+        assert keys.flags.c_contiguous, n
+        assert key_list(keys) == alone, n
         shuffle = rng.sample(range(len(group)), len(group))
-        assert (canonical_forms(row_array([group[at] for at in shuffle], n))
+        assert (key_list(canonical_forms(row_array([group[at] for at in shuffle], n)))
                 == [alone[at] for at in shuffle]), n
 
 
@@ -552,10 +635,10 @@ def test_wide_labeling_batches_keep_keys(monkeypatch):
         return refine(nodes, *args)
 
     monkeypatch.setattr(canon, "_refine_cells", counting)
-    wide = canonical_forms(rows)
+    wide = key_list(canonical_forms(rows))
     wide_chunks, searched[:] = searched[:], []
     monkeypatch.setattr("triramsey.graphs._LABEL_BATCHES", 1)
-    assert canonical_forms(rows) == wide
+    assert key_list(canonical_forms(rows)) == wide
     assert max(searched) <= (1 << 16) // 11 ** 2 < max(wide_chunks)
     assert wide == [canonical_form(Graph(11, tuple(row))) for row in rows.tolist()]
 
@@ -563,8 +646,8 @@ def test_wide_labeling_batches_keep_keys(monkeypatch):
 @pytest.mark.parametrize("n", [11, 13])
 def test_labeling_batch_peak(n):
     # One labeling batch, four batches of order n (2,166 graphs at order 11,
-    # 1,551 at 13), holds little more than one batch of 64-bit temporaries
-    # did: 0.71 and 0.60 MB against 0.62 and 0.54 MB; widening alone took
+    # 1,551 at 13), holds about as much as one batch of 64-bit temporaries
+    # did: 0.65 and 0.55 MB against 0.62 and 0.54 MB; widening alone took
     # 2.35 and 2.12 MB.
     rows = random_labeling_batch(n, _LABEL_BATCHES * (1 << 16) // n ** 2)
     canonical_forms(rows)  # fills the caches of the first call
@@ -606,14 +689,14 @@ def test_clebsch_labeling_batch_peak(monkeypatch):
     finally:
         tracemalloc.stop()
     assert sum(leaves) >= 1920 * len(copies)
-    assert keys == [canonical_form(c) for c in copies]
+    assert key_list(keys) == [canonical_form(c) for c in copies]
     assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_decode_keys_match_decode_key(seed):
     rng = random.Random(30 + seed)
-    assert decode_keys([]).shape == (0, 0)
+    assert decode_keys(np.zeros((0, 1), dtype=np.uint8)).shape == (0, 0)
     for n in range(MAX_N + 1):
         # Orders 0 and 1 have no key body byte, 2 one partial byte, 31 and
         # 32 the most bytes; each always gets random graphs and its complete
@@ -626,6 +709,6 @@ def test_decode_keys_match_decode_key(seed):
         if n == MAX_N:
             graphs.append(build_graph(n, [(0, n - 1), (n - 2, n - 1)]))  # bit 31 set in rows 0 and 30
         keys = [_encode(n, g.adj, list(range(n))) for g in graphs]
-        rows = decode_keys(keys)
+        rows = decode_keys(key_array(keys, n))
         assert rows.dtype == np.uint32
         assert rows.tolist() == [list(decode_key(key).adj) for key in keys] == [list(g.adj) for g in graphs]

@@ -143,6 +143,15 @@ def test_probe_conjecture(capsys):
     assert "DISAGREE" not in out
 
 
+@pytest.mark.parametrize("k_max", ["1", "0", "-1"])
+def test_probe_conjecture_without_cells_is_usage_error(capsys, k_max):
+    # No (k, i) cell has k < 2: an empty probe must not read as agreement.
+    code, out, err = run(capsys, "probe-conjecture", "--k-max", k_max, "--workers", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "k_max" in err
+
+
 def test_oracle_verify(capsys):
     code, out, _ = run(capsys, "oracle-verify", "--n", "5", "--k", "1", "--i", "4",
                        "--j", "4")

@@ -32,6 +32,7 @@ from triramsey import (
     verify_membership,
 )
 from triramsey import enumeration, formats
+from triramsey.canon import key_width
 from triramsey.enumeration import surviving_extension_sets
 from triramsey.formats import read_level, write_level
 from triramsey.graphs import _label_spans, _spans, row_array
@@ -216,6 +217,7 @@ def test_level_holds_its_rows_only():
     holds its rows and a few KB more by tracemalloc."""
     keys = [key for key, _ in read_level(T_1_7_LEVEL_11)[0].members]
     assert len(keys) == 31011
+    keys = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), key_width(11))
     LevelSet.from_keys(11, keys[:1])  # fills the caches of the first call
     tracemalloc.start()
     try:

@@ -28,7 +28,7 @@ from triramsey import (
     write_level,
 )
 from triramsey import formats
-from triramsey.canon import canonical_forms
+from triramsey.canon import canonical_forms, key_width
 from triramsey.enumeration import LevelSet
 from triramsey.formats import _graph6_block, render_report
 from triramsey.graphs import row_array
@@ -187,7 +187,9 @@ def test_write_level_matches_reference_writer(seed, monkeypatch, tmp_path):
     levels = [LevelSet(5, ())]
     for n in range(1, MAX_N + 1):
         members = [random_triangle_free(rng, n) for _ in range(rng.randint(1, 12))]
-        keys = sorted(set(canonical_forms(np.array([g.adj for g in members], dtype=np.uint32))))
+        keys = sorted(set(key.tobytes() for key in
+                          canonical_forms(np.array([g.adj for g in members], dtype=np.uint32))))
+        keys = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), key_width(n))
         graphs = [random_graph(rng, n, rng.choice([0.1, 0.5, 0.9])) for _ in range(rng.randint(1, 12))]
         levels += [LevelSet.from_keys(n, keys), LevelSet(n, [(b"", g) for g in graphs])]
     if seed % 2:
@@ -581,9 +583,10 @@ def reference_read_level(source) -> tuple[LevelSet, ProblemSpec]:
         if g.order != order:
             raise IntegrityError(f"member of order {g.order} in a level of order {order}")
         graphs.append(g)
-    keys = sorted(canonical_forms(row_array([g.adj for g in graphs], order)))
+    keys = sorted(key.tobytes() for key in canonical_forms(row_array([g.adj for g in graphs], order)))
     if len(set(keys)) < len(keys):
         raise IntegrityError("level file repeats an isomorphism class")
+    keys = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), key_width(order))
     return LevelSet.from_keys(order, keys), spec
 
 
