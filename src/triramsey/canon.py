@@ -8,10 +8,14 @@ plain byte strings, which gives the total order used for deduplication and
 stable file output.  Keys of a batch travel as one (graphs x
 ``key_width(n)``) uint8 array, a key a row; zero padded to whole 8-byte
 words, such rows read as big-endian uint64 words compare as the keys do, so
-one ``np.lexsort`` over the words sorts them.  A ``CanonKey`` (``bytes``)
-is one such row, from ``canonical_form`` or ``.tobytes()``.  The key is the
-whole class: ``decode_key`` rebuilds the canonically labeled representative
-from it, so no relabeled graph is ever carried beside a key.  The layout has
+one ``np.lexsort`` over the words sorts them.  That trick has one home, this
+module: ``canonical_forms`` keeps each graph's smallest leaf key with it,
+and ``sorted_keys`` gives the distinct rows of any array of keys in key
+order, which is how ``enumeration.level_step`` merges its tasks' children
+and ``formats.read_level`` finds a repeated class.  A ``CanonKey``
+(``bytes``) is one such row, from ``canonical_form`` or ``.tobytes()``.
+The key is the whole class: ``decode_key`` rebuilds the canonically labeled
+representative from it, so no relabeled graph is ever carried beside a key.  The layout has
 one home, this module: ``_leaf_keys`` writes it, ``decode_key`` validates
 it, and ``decode_keys`` gives the rows of an array of keys, adding one
 ``key_tables`` entry per key byte; a level's rows are decoded with it, once,
@@ -101,6 +105,22 @@ def key_width(n: int) -> int:
 def _word_width(n: int) -> int:
     """The bytes of a key of order n zero padded to whole 8-byte words."""
     return -(-key_width(n) // 8) * 8
+
+
+def sorted_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct rows of a (keys x ``key_width(n)``) uint8 array of keys
+    of one order n, in key order, as a C-contiguous array: the keys zero
+    padded to whole 8-byte words, sorted by one ``np.lexsort`` over the
+    words read big-endian, with each row equal to the one before it
+    dropped."""
+    count, width = keys.shape
+    words = np.zeros((count, -(-width // 8) * 8), dtype=np.uint8)
+    words[:, :width] = keys
+    words = words.view(">u8")
+    words = words[np.lexsort(words.T[::-1])]
+    distinct = np.ones(count, dtype=bool)
+    distinct[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return words.view(np.uint8)[distinct, :width]
 
 
 def canonical_form(g: Graph) -> CanonKey:

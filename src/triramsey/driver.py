@@ -39,13 +39,17 @@ CAPPED = "capped"
 class RunLimits:
     """Resource knobs for a run; all bounds are inclusive.
 
-    ``max_level_cardinality`` is checked after each level-step task, so a
-    run that trips it may first hold the distinct children of up to one task
-    beyond the bound, plus that task's keys before deduplication.  A task at
-    order n holds at most the parents of one batch, 2**16 // n**2 of them
-    (1,024 at order 8, 291 at order 15), so the overshoot is up to that many
-    parents' children.  ``worker_count`` is the number of
-    processes that compute level-step tasks, the calling one included.
+    ``max_level_cardinality`` bounds the distinct children, checked after
+    each level-step task, so a run stops at the first task that carries
+    them past the bound.  Between tasks the merge holds up to the bound plus
+    one task's children as key rows (``key_width`` bytes each, repeats
+    included), and, once those rows pass the bound, the temporaries of one
+    sort that compacts them to the distinct keys (``canon.sorted_keys``),
+    a few times their size.  A task at order n holds at most the parents
+    of one batch, 2**16 // n**2 of them (1,024 at order 8, 291 at order
+    15), so one task's children are up to that many parents' children.
+    ``worker_count`` is the number of processes that compute level-step
+    tasks, the calling one included.
     """
 
     max_order: int = MAX_N

@@ -14,8 +14,11 @@ and P + p(N(w)) is G' with w as the new vertex; moving that set to its
 twin-prefix form is an automorphism of P, so it keeps every vertex's pair.
 A level is the (members x n) rows of its canonically labeled members in
 key order, so levels are byte-stable regardless of worker count or merge
-order: a child travels as its key alone, and ``LevelSet.from_keys`` decodes
-each class once from it, a labeling batch of keys at a time.  A step cuts
+order: a child travels as its key alone, a row of its task's (children x
+``key_width``) uint8 array of keys, duplicates included; the step merges
+the tasks' arrays with one ``canon.sorted_keys``, which sorts them and drops
+the repeats, and ``LevelSet.from_keys`` decodes each class once from its
+key, a labeling batch of keys at a time.  A step cuts
 the rows into runs of consecutive parents, one task each: the fewest runs
 of at most as many parents as one batch holds graphs of their order, of
 near-equal lengths (``_spans(parents, n * n)``), so at most 2**16 // n**2
@@ -62,10 +65,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .canon import CanonKey, canonical_forms, decode_keys, key_width
+from .canon import CanonKey, canonical_forms, decode_keys, key_width, sorted_keys
 from .defect import has_k_dense_set, has_k_sparse_set
-from .errors import ConstructionError
+from .errors import CapacityError, ConstructionError
 from .graphs import (
+    MAX_N,
     Graph,
     VertexSet,
     _label_spans,
@@ -423,26 +427,38 @@ def surviving_extension_sets(g: Graph, spec: ProblemSpec) -> list[VertexSet]:
     return np.sort(_attachment_sets(row_array([g.adj], g.order), spec)[1]).tolist()
 
 
-def _extend_entries(spec: ProblemSpec, rows: np.ndarray) -> list[CanonKey]:
+def _extend_entries(spec: ProblemSpec, rows: np.ndarray) -> np.ndarray:
     """Worker task: the canonical keys of the surviving children of the
-    parents of a (parents x n) uint32 row array, as ``bytes`` for
-    ``level_step``'s merge set.  The attachment sets of every parent come
-    from one ``_attachment_sets`` pass, and the children are built and
-    labeled a labeling batch (``_label_spans``) at a time whichever parents
-    they come from."""
+    parents of a (parents x n) uint32 row array, as one C-contiguous
+    (children x ``key_width(n + 1)``) uint8 array, a key a row, in no fixed
+    order and duplicates included (``level_step``'s merge drops them).  The
+    attachment sets of every parent come from one ``_attachment_sets`` pass,
+    and the children are built and labeled a labeling batch
+    (``_label_spans``) at a time whichever parents they come from."""
     owner, sets = _attachment_sets(rows, spec)
-    width = key_width(rows.shape[1] + 1)
-    keys: list[CanonKey] = []
-    for span in _label_spans(len(sets), rows.shape[1] + 1):
-        blob = canonical_forms(_child_rows(rows, owner[span], sets[span])).tobytes()
-        keys += [blob[at:at + width] for at in range(0, len(blob), width)]
+    n = rows.shape[1] + 1
+    keys = np.empty((len(sets), key_width(n)), dtype=np.uint8)
+    for span in _label_spans(len(sets), n):
+        keys[span] = canonical_forms(_child_rows(rows, owner[span], sets[span]))
     return keys
 
 
+def _distinct(held: list[np.ndarray]) -> np.ndarray:
+    """The distinct rows of a list of arrays of keys of one order, in key
+    order (``sorted_keys``); the list is emptied once they are joined, so
+    that the sort holds one copy of the rows."""
+    keys = np.concatenate(held)
+    held.clear()
+    return sorted_keys(keys)
+
+
 def level_at(spec: ProblemSpec, order: int) -> LevelSet:
-    """The level of the given order >= 1, grown in-process from K1 (empty once the search dies)."""
+    """The level of the given order in 1..MAX_N, grown in-process from K1
+    (empty once the search dies)."""
     if order < 1:
         raise ConstructionError(f"level order {order} < 1")
+    if order > MAX_N:
+        raise CapacityError(f"level order {order} exceeds capacity {MAX_N}")
     level = initial_level(spec)
     while level.order < order and len(level) > 0:
         level = level_step(level, spec)
@@ -464,19 +480,28 @@ def level_step(level: LevelSet, spec: ProblemSpec, *, mapper=map,
     cost once per batch rather than once per few parents, and no worker
     waits on a long task while another has a short remainder.  Output is
     identical for any mapper and any cut: tasks return only the canonical
-    keys of the children, the merge is a set of ``bytes`` keys, freed once
-    they are sorted and joined into one (keys x ``key_width``) uint8 array,
-    and ``LevelSet.from_keys`` decodes each class once from its key at the
-    end.  ``max_cardinality`` is checked after each task.
+    keys of the children, as (children x ``key_width``) uint8 arrays that
+    may repeat a key, within a task or across tasks; the merge holds the
+    arrays, and one ``sorted_keys`` over all of them gives the distinct keys
+    in key order, from which ``LevelSet.from_keys`` decodes each class once.
+
+    ``max_cardinality`` bounds the distinct keys after each task.  The held
+    rows bound them from above, so only once the rows pass the bound are
+    they compacted to their ``sorted_keys``, and the step raises if the
+    distinct keys still pass it.  A level of order MAX_N has no next order.
     """
+    if level.order >= MAX_N:
+        raise CapacityError(f"cannot grow a level of order {level.order} past {MAX_N} vertices")
     next_order = level.order + 1
     tasks = [level.rows[span] for span in _spans(len(level), level.order ** 2)]
-    merged: set[CanonKey] = set()
+    held = [np.zeros((0, key_width(next_order)), dtype=np.uint8)]
+    count = 0
     for keys in mapper(partial(_extend_entries, spec), tasks):
-        merged.update(keys)
-        if max_cardinality is not None and len(merged) > max_cardinality:
-            raise LevelCardinalityExceeded(next_order, max_cardinality)
-    keys = sorted(merged)
-    del merged
-    keys = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, key_width(next_order))
-    return LevelSet.from_keys(next_order, keys)
+        held.append(keys)
+        count += len(keys)
+        if max_cardinality is not None and count > max_cardinality:
+            held = [_distinct(held)]
+            count = len(held[0])
+            if count > max_cardinality:
+                raise LevelCardinalityExceeded(next_order, max_cardinality)
+    return LevelSet.from_keys(next_order, _distinct(held))

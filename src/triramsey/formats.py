@@ -19,7 +19,8 @@ it on a batch of one.  Level bodies move as such blocks, never as one
 string per member: ``write_level`` streams a level's rows to the file and
 the digest a chunk at a time, and ``read_level`` decodes and labels a body
 as one block (``_regular_body``), a labeling batch (``graphs._label_spans``)
-at a time, and leaves the level's rows to ``LevelSet.from_keys``.  A body
+at a time, into one array of keys that ``canon.sorted_keys`` sorts, and
+leaves the level's rows to ``LevelSet.from_keys``.  A body
 irregular as written (CRLF, ``>>graph6<<`` headers, padded lines) is split,
 normalized (``_graph6_text``) and rejoined first; if it is still irregular,
 ``graph6_decode`` reports its first bad line.
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .canon import _word_width, canonical_forms, key_width
+from .canon import canonical_forms, key_width, sorted_keys
 from .canon import canonical_graph  # noqa: F401  (perfbench/tracing.py swaps this name for a timed wrapper)
 from .enumeration import LevelSet, ProblemSpec
 from .errors import CapacityError, DecodeError, IntegrityError, SpecConflictError
@@ -262,10 +263,10 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
     through ``graph6_decode`` and the order check in file order, after the
     digest check, so that the first bad line raises.  The block is decoded
     and labeled a labeling batch (``_label_spans``) at a time
-    (``canonical_forms``) into one array of keys, which is sorted by one
-    ``np.lexsort`` over its big-endian 8-byte words; a repeated class is two
-    equal neighbouring rows.  The level's rows are decoded from the sorted
-    keys (``LevelSet.from_keys``).
+    (``canonical_forms``) into one array of keys, whose distinct keys
+    ``sorted_keys`` gives in key order; a repeated class leaves fewer of
+    them than members.  The level's rows are decoded from the sorted keys
+    (``LevelSet.from_keys``).
     """
     data = Path(source).read_bytes()
     if not data.isascii():
@@ -302,17 +303,13 @@ def read_level(source) -> tuple[LevelSet, ProblemSpec]:
             if g.order != order:
                 raise IntegrityError(f"member of order {g.order} in a level of order {order}")
 
-    # Keys zero padded to whole 8-byte words, which compare as the keys do
-    # when read big-endian.
-    width = key_width(order)
-    keys = np.zeros((count, _word_width(order)), dtype=np.uint8)
+    keys = np.empty((count, key_width(order)), dtype=np.uint8)
     for span in _label_spans(count, order):
-        keys[span, :width] = canonical_forms(_graph6_rows(block[span], order))
-    words = keys.view(">u8")
-    words = words[np.lexsort(words.T[::-1])]
-    if (words[1:] == words[:-1]).all(axis=1).any():
+        keys[span] = canonical_forms(_graph6_rows(block[span], order))
+    keys = sorted_keys(keys)
+    if len(keys) < count:
         raise IntegrityError("level file repeats an isomorphism class")
-    return LevelSet.from_keys(order, words.view(np.uint8)[:, :width]), spec
+    return LevelSet.from_keys(order, keys), spec
 
 
 def level_filename(order: int) -> str:

@@ -45,6 +45,7 @@ from triramsey.canon import (
     canonical_forms,
     decode_keys,
     key_width,
+    sorted_keys,
 )
 from triramsey.graphs import _LABEL_BATCHES, _label_spans, _spans
 from triramsey.oracle import brute_isomorphic, count_graph_classes
@@ -278,6 +279,30 @@ def test_key_total_order_is_bytewise():
     keys = sorted(canonical_form(g) for g in all_labeled_graphs(3))
     assert keys == sorted(keys)
     assert len(set(keys)) == 4
+
+
+def test_sorted_keys_match_sorted_set():
+    # One sort dedups keys of every order: random rows over a small alphabet
+    # (so that words tie), each repeated up to twice, and beside each row one
+    # that differs only in its last byte and one that differs only in the
+    # first byte past an 8-byte word boundary (order 12 and up: 66 bits make
+    # a 10-byte key).
+    rng = random.Random(31)
+    for n in range(MAX_N + 1):
+        width = key_width(n)
+        empty = sorted_keys(np.zeros((0, width), dtype=np.uint8))
+        assert empty.shape == (0, width) and empty.dtype == np.uint8, n
+        rows = [bytes([n, *(rng.choice([0, 1, 128, 255]) for _ in range(width - 1))])
+                for _ in range(rng.randint(1, 40))]
+        for at in [width - 1] * (width > 1) + [8] * (width > 8):
+            rows += [row[:at] + bytes([row[at] ^ rng.choice([1, 128])]) + row[at + 1:]
+                     for row in rows]
+        rows = [row for row in rows for _ in range(rng.randint(1, 3))]
+        rng.shuffle(rows)
+        keys = sorted_keys(np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), width))
+        assert keys.dtype == np.uint8 and keys.flags.c_contiguous, n
+        assert key_list(keys) == sorted(set(rows)), n
+        assert len(keys) < len(rows), n
 
 
 def test_decode_key_rejects_malformed_keys():

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from triramsey import (
+    MAX_N,
+    CapacityError,
     ConstructionError,
     LevelCardinalityExceeded,
     LevelSet,
@@ -31,7 +33,7 @@ from triramsey import (
     validate_graph,
     verify_membership,
 )
-from triramsey import enumeration, formats
+from triramsey import canon, enumeration, formats
 from triramsey.canon import key_width
 from triramsey.enumeration import surviving_extension_sets
 from triramsey.formats import read_level, write_level
@@ -403,13 +405,62 @@ def test_cardinality_guard_trips_within_one_task(monkeypatch):
     def lazy(fn, tasks):
         for task in tasks:
             assert len(task) <= per_task
-            ran.append(set(fn(task)))
-            yield ran[-1]
+            keys = fn(task)
+            ran.append(set(map(bytes, keys)))
+            yield keys
 
     with pytest.raises(LevelCardinalityExceeded):
         level_step(level, spec, mapper=lazy, max_cardinality=bound)
     assert 1 < len(ran) < -(-len(level) // per_task)
     assert len(set().union(*ran[:-1])) <= bound < len(set().union(*ran))
+
+
+def test_cardinality_guard_compacts_held_keys(monkeypatch):
+    # The held key rows bound the distinct keys from above; once they pass
+    # the bound, the step sorts them down to the distinct keys and carries
+    # on.  So a bound of exactly the 1,511 classes of order 9 completes the
+    # step, through at least one compaction before the final sort, and one
+    # less raises.
+    spec = ProblemSpec(k=1, j=7)
+    level = level_at(spec, 8)
+    full = level_step(level, spec)
+    per_task = 32
+    monkeypatch.setattr("triramsey.graphs._BROADCAST_ELEMENTS", per_task * level.order ** 2)
+    children, sorts = [], []
+
+    def counting(fn, tasks):
+        for task in tasks:
+            keys = fn(task)
+            children.append(len(keys))
+            yield keys
+
+    def sorting(keys):
+        sorts.append(len(keys))
+        return canon.sorted_keys(keys)
+
+    monkeypatch.setattr("triramsey.enumeration.sorted_keys", sorting)
+    assert level_step(level, spec, mapper=counting, max_cardinality=len(full)) == full
+    assert sum(children) > len(full) and len(children) == -(-len(level) // per_task)
+    assert len(sorts) > 1
+    with pytest.raises(LevelCardinalityExceeded):
+        level_step(level, spec, max_cardinality=len(full) - 1)
+
+
+def test_level_step_stops_at_capacity():
+    # A level of order MAX_N has no next order to grow into.
+    with pytest.raises(CapacityError):
+        level_step(LevelSet(MAX_N, [(b"", cycle(MAX_N))]), ProblemSpec(k=2, j=40))
+
+
+def test_level_at_rejects_orders_past_capacity():
+    # T_1(3)'s search dies at order 5, so an order past MAX_N would read as
+    # an empty level rather than an error.
+    spec = ProblemSpec(k=1, j=3)
+    assert len(level_at(spec, MAX_N)) == 0
+    with pytest.raises(CapacityError):
+        level_at(spec, MAX_N + 1)
+    with pytest.raises(CapacityError):
+        level_at(spec, 40)
 
 
 def _logged(log, fn, task):

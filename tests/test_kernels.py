@@ -13,6 +13,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from triramsey import (
@@ -21,7 +22,9 @@ from triramsey import (
     canonical_form,
     independent_set_masks,
     is_k_sparse_set,
+    level_at,
 )
+from triramsey.canon import key_width
 from triramsey.enumeration import (
     _extend_entries,
     _sparse_sets,
@@ -104,9 +107,22 @@ def test_task_keys_match_reference(seed, monkeypatch):
             expected = Counter(canonical_form(add_vertex(g, s))
                                for g, sets in zip(parents[:count], reference) for s in sets)
             task = row_array([g.adj for g in parents[:count]], n)
-            assert Counter(_extend_entries(spec, task)) == expected, (spec, count)
+            assert Counter(map(bytes, _extend_entries(spec, task))) == expected, (spec, count)
     # Some parent keeps sets under some spec, and some parent keeps none.
     assert 0 in sizes and max(sizes) > 0
+
+
+def test_task_keys_are_one_array():
+    # A task returns its children's keys as one C-contiguous uint8 array, a
+    # key a row, and an empty one when no child survives: T_1(3)'s order-4
+    # level has a member, and it has no child.
+    spec = ProblemSpec(k=1, j=3)
+    for order, alive in ((3, True), (4, False)):
+        parents = level_at(spec, order).rows
+        assert len(parents) > 0, order
+        keys = _extend_entries(spec, parents)
+        assert keys.dtype == np.uint8 and keys.flags.c_contiguous, order
+        assert keys.shape[1] == key_width(order + 1) and (len(keys) > 0) == alive, order
 
 
 def reference_sparse_sets(graphs, k, size):
